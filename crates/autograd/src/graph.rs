@@ -1,28 +1,32 @@
 //! The computation tape: nodes, values, and the backward pass driver.
 
 use nb_tensor::{ConvGeometry, Shape, Tensor};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Process-wide count of tape nodes ever allocated. Grad-free execution
-/// paths must not move this; tests diff it around an eval forward to prove
-/// no `Graph` node was recorded.
-static NODES_ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Count of tape nodes ever allocated by this thread. Grad-free execution
+    /// paths must not move it; tests diff it around an eval forward to prove
+    /// no `Graph` node was recorded.
+    static NODES_ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
 
-/// Total number of [`Graph`] nodes allocated by this process so far.
+/// Total number of [`Graph`] nodes allocated by the calling thread so far.
 ///
-/// Monotonic; diff two readings to count allocations across a region. The
-/// grad-free inference path is required to leave this unchanged.
+/// Monotonic; diff two readings to count allocations across a region. A
+/// graph only grows on the thread that owns it, so tapes built concurrently
+/// on other threads never show up in the difference. The compiled inference
+/// plan is required to leave this unchanged.
 pub fn nodes_allocated() -> usize {
-    NODES_ALLOCATED.load(Ordering::Relaxed)
+    NODES_ALLOCATED.with(Cell::get)
 }
 
 /// Handle to a node in a [`Graph`]. Cheap to copy; only valid for the graph
 /// that produced it.
 ///
 /// The same handle type doubles as the slot index of other `Forward`
-/// executors (e.g. the grad-free inference context in `nb-nn`), which is
-/// what lets one `Module::forward` definition serve every execution path;
-/// [`Value::index`]/[`Value::from_index`] convert explicitly.
+/// implementations (e.g. the compiled plan's shape recorder in `nb-nn`),
+/// which is what lets one `Module::forward` definition serve every execution
+/// path; [`Value::index`]/[`Value::from_index`] convert explicitly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Value(pub(crate) usize);
 
@@ -202,7 +206,7 @@ impl Graph {
     }
 
     pub(crate) fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> Value {
-        NODES_ALLOCATED.fetch_add(1, Ordering::Relaxed);
+        NODES_ALLOCATED.with(|n| n.set(n.get() + 1));
         self.nodes.push(Node {
             value,
             grad: None,
@@ -290,5 +294,25 @@ mod tests {
         let taken = g.take_grad(v).unwrap();
         assert_eq!(taken.as_slice(), &[2.0, 2.0]);
         assert!(g.grad(v).is_none());
+    }
+
+    #[test]
+    fn node_count_ignores_tapes_on_other_threads() {
+        use std::sync::Barrier;
+        let gate = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                gate.wait();
+                let mut g = Graph::new();
+                for _ in 0..16 {
+                    g.constant(Tensor::ones([1]));
+                }
+                gate.wait();
+            });
+            let before = nodes_allocated();
+            gate.wait();
+            gate.wait();
+            assert_eq!(nodes_allocated() - before, 0);
+        });
     }
 }

@@ -1,17 +1,15 @@
-//! Eval-path benchmark: the taped `Session` against the grad-free
-//! `InferCtx` against the compiled `CompiledPlan`.
+//! Eval-path benchmark: the taped `Session` against the compiled
+//! `CompiledPlan`.
 //!
 //! For each model family and batch size the binary times one eval forward
-//! on all three executors and records the activation-memory footprint of
-//! each: the tape's retained intermediate bytes
-//! ([`Graph::retained_bytes`]) for the taped path, the ping-pong high-water
-//! mark ([`InferCtx::peak_bytes`]) for the grad-free path, and the
-//! deterministic compile-time liveness peak ([`CompiledPlan::peak_bytes`])
-//! for the compiled path. The plan is compiled once per case, outside the
-//! timed region — that is its contract: folding, packing, and arena sizing
-//! are paid at compile time. One JSON object (with thread count, batch
-//! sizes, and build profile) is written so before/after runs can be diffed
-//! mechanically.
+//! on both executors and records the activation-memory footprint of each:
+//! the tape's retained intermediate bytes ([`Graph::retained_bytes`]) for
+//! the taped path, and the deterministic compile-time liveness peak
+//! ([`CompiledPlan::peak_bytes`]) for the compiled path. The plan is
+//! compiled once per case, outside the timed region — that is its
+//! contract: folding, packing, and arena sizing are paid at compile time.
+//! One JSON object (with thread count, batch sizes, and build profile) is
+//! written so before/after runs can be diffed mechanically.
 //!
 //! Each case also compiles the int8 twin
 //! ([`CompiledPlan::compile_quantized`], calibrated on fixed-seed random
@@ -24,27 +22,24 @@
 //! rows (tinynet, expanded-giant, detector-grid), where the int8
 //! depthwise stencil and the `QuantPolicy::Auto` mixed-precision policy
 //! carry the claim, the quantized plan must at least break even against
-//! the f32 plan (within the same 2% noise allowance as the plan-vs-infer
-//! gate). The binary exits non-zero if either gate misses.
+//! the f32 plan (within a 2% noise allowance).
 //!
 //! Run: `cargo run --release -p nb-bench --bin bench_infer [--smoke] [out.json]`
 //! (default output path: `BENCH_infer.json` in the current directory).
 //! `--smoke` shrinks the timing budget to a CI-friendly sanity pass.
 //!
-//! The binary exits non-zero if the grad-free path retains more than the
-//! tape, if the compiled plan is slower than `InferCtx` (beyond 2%
-//! noise), if the plan's peak activation bytes exceed `InferCtx`'s, if a
-//! GEMM-bound quant row misses its 2x / peak-bytes gate, or if a
-//! depthwise quant row falls behind its f32 plan.
+//! The binary exits non-zero if the plan's peak activation bytes are not
+//! below what the tape retains, if a GEMM-bound quant row misses its
+//! 2x / peak-bytes gate, or if a depthwise quant row falls behind its f32
+//! plan.
 //!
 //! [`Graph::retained_bytes`]: nb_autograd::Graph::retained_bytes
-//! [`InferCtx::peak_bytes`]: nb_nn::InferCtx::peak_bytes
 //! [`CompiledPlan::peak_bytes`]: nb_nn::CompiledPlan::peak_bytes
 
 use nb_autograd::Value;
 use nb_models::{mobilenet_v2_tiny, DetectorNet, TinyNet};
 use nb_nn::layers::{ActKind, Activation, Conv2d, GlobalAvgPool, Linear};
-use nb_nn::{CompiledPlan, Forward, InferCtx, Module, Sequential, Session};
+use nb_nn::{CompiledPlan, Forward, Module, Sequential, Session};
 use nb_tensor::{num_threads, ConvGeometry, Tensor};
 use netbooster_core::{expand, ExpansionPlan};
 use rand::rngs::StdRng;
@@ -58,7 +53,7 @@ use std::time::{Duration, Instant};
 /// round-robin sampling exposes every executor to the same share of
 /// machine drift. The sample floor dominates for the slow rows (gemmnet/b8
 /// runs >100 ms per forward): 15 rounds keeps the medians stable enough
-/// for the plan-vs-infer gate, whose true margin is only a few percent.
+/// for the depthwise quant gate, whose true margin is only a few percent.
 fn medians_interleaved(budget: Duration, fs: &mut [&mut dyn FnMut()]) -> Vec<u128> {
     let warm_start = Instant::now();
     while warm_start.elapsed() < budget / 4 {
@@ -91,22 +86,16 @@ struct Row {
     /// depthwise-heavy families carry the break-even quant gate.
     gemm_bound: bool,
     taped_ns: u128,
-    infer_ns: u128,
     plan_ns: u128,
     qplan_ns: u128,
     taped_retained_bytes: usize,
-    infer_peak_bytes: usize,
     plan_peak_bytes: usize,
     qplan_peak_bytes: usize,
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        self.taped_ns as f64 / self.infer_ns.max(1) as f64
-    }
-
     fn plan_speedup(&self) -> f64 {
-        self.infer_ns as f64 / self.plan_ns.max(1) as f64
+        self.taped_ns as f64 / self.plan_ns.max(1) as f64
     }
 
     fn quant_speedup(&self) -> f64 {
@@ -114,7 +103,7 @@ impl Row {
     }
 
     fn mem_ratio(&self) -> f64 {
-        self.taped_retained_bytes as f64 / self.infer_peak_bytes.max(1) as f64
+        self.taped_retained_bytes as f64 / self.plan_peak_bytes.max(1) as f64
     }
 }
 
@@ -136,13 +125,6 @@ fn bench_case(
     let taped_retained_bytes = s.graph.retained_bytes();
     drop(s);
 
-    let mut ctx = InferCtx::new();
-    let xv = ctx.input(x.clone());
-    let y = fwd(&mut ctx, xv);
-    black_box(ctx.value(y));
-    let infer_peak_bytes = ctx.peak_bytes();
-    drop(ctx);
-
     // compiled once, outside the timed region — the plan's contract; the
     // timed loop recycles one arena, the steady-state serving pattern
     let plan = CompiledPlan::compile(x.dims(), |f, v| fwd(f, v));
@@ -161,10 +143,10 @@ fn bench_case(
     black_box(qplan.run_in(&mut qarena, &x));
     let qplan_peak_bytes = qplan.peak_bytes();
 
-    // All four executors sample round-robin in one loop: the gates below
-    // compare their ratios, and interleaving cancels the slow clock and
-    // load drift of a shared box that sequential windows would bake into
-    // one side of each ratio.
+    // Taped eval, the f32 plan and the int8 plan sample round-robin in one
+    // loop: the gates below compare their ratios, and interleaving cancels
+    // the slow clock and load drift of a shared box that sequential windows
+    // would bake into one side of each ratio.
     let ns = medians_interleaved(
         budget * 4,
         &mut [
@@ -175,12 +157,6 @@ fn bench_case(
                 black_box(s.value(y));
             },
             &mut || {
-                let mut ctx = InferCtx::new();
-                let xv = ctx.input(x.clone());
-                let y = fwd(&mut ctx, xv);
-                black_box(ctx.value(y));
-            },
-            &mut || {
                 black_box(plan.run_in(&mut arena, &x));
             },
             &mut || {
@@ -188,28 +164,24 @@ fn bench_case(
             },
         ],
     );
-    let (taped_ns, infer_ns, plan_ns, qplan_ns) = (ns[0], ns[1], ns[2], ns[3]);
+    let (taped_ns, plan_ns, qplan_ns) = (ns[0], ns[1], ns[2]);
 
     let row = Row {
         model: name,
         batch,
         gemm_bound,
         taped_ns,
-        infer_ns,
         plan_ns,
         qplan_ns,
         taped_retained_bytes,
-        infer_peak_bytes,
         plan_peak_bytes,
         qplan_peak_bytes,
     };
     eprintln!(
-        "{name:<16} batch {batch:>2}: taped {taped_ns:>10} ns, infer {infer_ns:>10} ns \
-         ({:.2}x), plan {plan_ns:>10} ns ({:.2}x over infer), quant {qplan_ns:>10} ns \
-         ({:.2}x over plan), retained {taped_retained_bytes:>9} B vs peak \
-         {infer_peak_bytes:>9} B vs plan peak {plan_peak_bytes:>9} B vs quant peak \
+        "{name:<16} batch {batch:>2}: taped {taped_ns:>10} ns, plan {plan_ns:>10} ns \
+         ({:.2}x over taped), quant {qplan_ns:>10} ns ({:.2}x over plan), retained \
+         {taped_retained_bytes:>9} B vs plan peak {plan_peak_bytes:>9} B vs quant peak \
          {qplan_peak_bytes:>9} B",
-        row.speedup(),
         row.plan_speedup(),
         row.quant_speedup(),
     );
@@ -236,24 +208,20 @@ fn to_json(rows: &[Row], batches: &[usize]) -> String {
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         out.push_str(&format!(
-            "    \"{}/b{}\": {{\n      \"taped_ns\": {},\n      \"infer_ns\": {},\n      \
-             \"plan_ns\": {},\n      \"qplan_ns\": {},\n      \"speedup\": {:.2},\n      \
-             \"plan_speedup\": {:.2},\n      \"quant_speedup\": {:.2},\n      \
-             \"gemm_bound\": {},\n      \"taped_retained_bytes\": {},\n      \
-             \"infer_peak_bytes\": {},\n      \"plan_peak_bytes\": {},\n      \
+            "    \"{}/b{}\": {{\n      \"taped_ns\": {},\n      \"plan_ns\": {},\n      \
+             \"qplan_ns\": {},\n      \"plan_speedup\": {:.2},\n      \
+             \"quant_speedup\": {:.2},\n      \"gemm_bound\": {},\n      \
+             \"taped_retained_bytes\": {},\n      \"plan_peak_bytes\": {},\n      \
              \"qplan_peak_bytes\": {},\n      \"memory_ratio\": {:.2}\n    }}{}\n",
             r.model,
             r.batch,
             r.taped_ns,
-            r.infer_ns,
             r.plan_ns,
             r.qplan_ns,
-            r.speedup(),
             r.plan_speedup(),
             r.quant_speedup(),
             r.gemm_bound,
             r.taped_retained_bytes,
-            r.infer_peak_bytes,
             r.plan_peak_bytes,
             r.qplan_peak_bytes,
             r.mem_ratio(),
@@ -369,28 +337,19 @@ fn main() {
         ));
     }
 
-    // the split execution path exists to make eval cheaper on both axes;
-    // fail loudly if it ever regresses to the tape — and the compiled plan
-    // exists to beat the grad-free path, so gate it against InferCtx on
-    // both time and peak activation bytes. The time gate allows 2% of
-    // measurement noise: on the GEMM-bound rows both executors bottom out
-    // in the same GEMM kernels, so the true margin is a few percent and a
-    // shared-box scheduling blip would otherwise flake the gate.
-    let infer_ok = rows
+    // the compiled plan exists to make eval cheaper than the tape; fail
+    // loudly if its activation peak ever regresses to what the tape keeps.
+    let plan_mem_ok = rows
         .iter()
-        .all(|r| r.infer_peak_bytes < r.taped_retained_bytes);
-    let plan_time_ok = rows
-        .iter()
-        .all(|r| r.plan_ns as f64 <= r.infer_ns as f64 * 1.02);
-    let plan_mem_ok = rows.iter().all(|r| r.plan_peak_bytes <= r.infer_peak_bytes);
+        .all(|r| r.plan_peak_bytes < r.taped_retained_bytes);
     // The int8 claims, enforced where they are made. GEMM-bound rows: the
     // quantized plan must halve the f32 plan's time without growing the
     // activation peak. Depthwise-heavy rows: with the int8 depthwise
     // stencil and the shape-driven mixed-precision policy
     // (`QuantPolicy::Auto`), the quantized plan must at least break even
-    // against the f32 plan — the same 2% noise allowance as the
-    // plan-vs-infer gate, since the policy's whole job is trimming the
-    // quant/f32 margin down to the layers where int8 genuinely wins.
+    // against the f32 plan, within 2% of measurement noise, since the
+    // policy's whole job is trimming the quant/f32 margin down to the
+    // layers where int8 genuinely wins.
     let quant_time_ok = rows.iter().all(|r| {
         if r.gemm_bound {
             2 * r.qplan_ns <= r.plan_ns
@@ -407,16 +366,8 @@ fn main() {
     println!("{json}");
     eprintln!("wrote {out_path}");
     let mut failed = false;
-    if !infer_ok {
-        eprintln!("bench_infer: FAILED (grad-free path retained more than the tape)");
-        failed = true;
-    }
-    if !plan_time_ok {
-        eprintln!("bench_infer: FAILED (compiled plan slower than InferCtx)");
-        failed = true;
-    }
     if !plan_mem_ok {
-        eprintln!("bench_infer: FAILED (compiled plan peak bytes above InferCtx)");
+        eprintln!("bench_infer: FAILED (compiled plan peak bytes not below the tape)");
         failed = true;
     }
     if !quant_time_ok {

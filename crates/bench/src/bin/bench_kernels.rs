@@ -6,10 +6,8 @@
 //! (nn/nt/tn), dense conv forward/backward, depthwise forward (f32 and
 //! int8, 3x3 and 5x5) and backward, im2col, global average pooling — and
 //! writes one JSON object per kernel with the seed baseline, the measured
-//! median ns/op, the speedup, the achieved GFLOP/s, and (for
-//! selector-dispatched kernels) the schedule variant the shape-keyed
-//! selector resolved, so runs can be diffed mechanically and the selected
-//! schedules audited.
+//! median ns/op, the speedup, and the achieved GFLOP/s, so runs can be
+//! diffed mechanically.
 //!
 //! After timing, the harness gates the result: the kernels this repo's
 //! perf PRs committed to (`conv2d_fwd/3`, `conv2d_fwd/5`,
@@ -24,7 +22,6 @@
 //! [--no-gate] [out.json]` (default output path: `BENCH_kernels.json` in
 //! the current directory).
 
-use nb_tensor::selector::{describe, Op};
 use nb_tensor::{
     activation_scale, available_threads, conv2d, conv2d_backward, depthwise_conv2d,
     depthwise_conv2d_backward, global_avg_pool, im2col, max_abs, qdepthwise_conv2d_into,
@@ -97,8 +94,6 @@ struct Row {
     ns: u128,
     /// Useful FLOPs per op (0 for pure data-movement kernels).
     flops: u64,
-    /// Selector variant for GEMM-backed kernels, e.g. `blocked:mc64:nc256`.
-    variant: Option<String>,
 }
 
 struct Report {
@@ -106,16 +101,14 @@ struct Report {
 }
 
 impl Report {
-    fn time(&mut self, name: &str, flops: u64, variant: Option<String>, mut f: impl FnMut()) {
+    fn time(&mut self, name: &str, flops: u64, mut f: impl FnMut()) {
         let ns = median_ns(&mut f);
         let gflops = gflops_str(flops, ns);
-        let var = variant.as_deref().unwrap_or("-");
-        eprintln!("{name:<22} {ns:>12} ns/op {gflops:>9} GF/s  {var}");
+        eprintln!("{name:<22} {ns:>12} ns/op {gflops:>9} GF/s");
         self.rows.push(Row {
             name: name.to_string(),
             ns,
             flops,
-            variant,
         });
     }
 
@@ -127,10 +120,6 @@ impl Report {
              after columns with scripts/bench_kernels.\",\n",
         );
         out.push_str(&format!("  \"threads\": {},\n", available_threads()));
-        out.push_str(&format!(
-            "  \"autotune\": \"{}\",\n",
-            std::env::var("NB_AUTOTUNE").unwrap_or_else(|_| "default".to_string())
-        ));
         out.push_str("  \"unit\": \"median_ns_per_op\",\n");
         out.push_str("  \"kernels\": {\n");
         for (i, row) in self.rows.iter().enumerate() {
@@ -140,23 +129,14 @@ impl Report {
             if let Some(before) = before {
                 out.push_str(&format!("      \"before_ns\": {before},\n"));
             }
-            out.push_str(&format!("      \"after_ns\": {},\n", row.ns));
+            let mut fields = vec![format!("\"after_ns\": {}", row.ns)];
             if let Some(before) = before {
-                out.push_str(&format!(
-                    "      \"speedup\": {:.2},\n",
-                    before as f64 / row.ns as f64
-                ));
+                fields.push(format!("\"speedup\": {:.2}", before as f64 / row.ns as f64));
             }
             if row.flops > 0 {
-                out.push_str(&format!(
-                    "      \"gflops\": {},\n",
-                    gflops_str(row.flops, row.ns)
-                ));
+                fields.push(format!("\"gflops\": {}", gflops_str(row.flops, row.ns)));
             }
-            match &row.variant {
-                Some(v) => out.push_str(&format!("      \"variant\": \"{v}\"\n")),
-                None => out.push_str("      \"variant\": null\n"),
-            }
+            out.push_str(&format!("      {}\n", fields.join(",\n      ")));
             out.push_str(&format!("    }}{comma}\n"));
         }
         out.push_str("  }\n}\n");
@@ -226,20 +206,17 @@ fn main() {
         let a = Tensor::randn([n, n], &mut rng);
         let b = Tensor::randn([n, n], &mut rng);
         let flops = 2 * (n as u64).pow(3);
-        let variant = describe(Op::Gemm, false, false, n, n, n);
-        report.time(&format!("matmul/{n}"), flops, Some(variant), || {
+        report.time(&format!("matmul/{n}"), flops, || {
             black_box(a.matmul(&b));
         });
     }
     let a = Tensor::randn([128, 128], &mut rng);
     let b = Tensor::randn([128, 128], &mut rng);
     let flops = 2u64 * 128 * 128 * 128;
-    let variant = describe(Op::Gemm, false, true, 128, 128, 128);
-    report.time("matmul_nt/128", flops, Some(variant), || {
+    report.time("matmul_nt/128", flops, || {
         black_box(a.matmul_nt(&b));
     });
-    let variant = describe(Op::Gemm, true, false, 128, 128, 128);
-    report.time("matmul_tn/128", flops, Some(variant), || {
+    report.time("matmul_tn/128", flops, || {
         black_box(a.matmul_tn(&b));
     });
 
@@ -252,16 +229,14 @@ fn main() {
         let w = Tensor::randn([16, 16, k, k], &mut rng);
         let bias = Tensor::randn([16], &mut rng);
         let geom = ConvGeometry::same(k, 1);
-        let gemm_k = (c as usize) * k * k;
         let flops = 2 * ns_b * c * c * (k as u64).pow(2) * hw * hw;
-        let variant = describe(Op::Conv, false, false, 16, gemm_k, (hw * hw) as usize);
-        report.time(&format!("conv2d_fwd/{k}"), flops, Some(variant), || {
+        report.time(&format!("conv2d_fwd/{k}"), flops, || {
             black_box(conv2d(&x, &w, Some(&bias), geom));
         });
         let y = conv2d(&x, &w, None, geom);
         let dy = Tensor::randn(y.shape().clone(), &mut rng);
         // dx + dw + db: roughly three forward-sized contractions.
-        report.time(&format!("conv2d_bwd/{k}"), 3 * flops, None, || {
+        report.time(&format!("conv2d_bwd/{k}"), 3 * flops, || {
             black_box(conv2d_backward(&x, &w, &dy, geom, true));
         });
     }
@@ -276,55 +251,43 @@ fn main() {
         let wd = Tensor::randn([16, k, k], &mut rng);
         let geom = ConvGeometry::same(k, 1);
         let dw_flops = 2 * ns_b * c * hw * hw * (k as u64).pow(2);
-        let variant = describe(Op::Depthwise, false, false, 16, k * k, (hw * hw) as usize);
-        report.time(
-            &format!("depthwise_fwd/{k}"),
-            dw_flops,
-            Some(variant),
-            || {
-                black_box(depthwise_conv2d(&x, &wd, None, geom));
-            },
-        );
+        report.time(&format!("depthwise_fwd/{k}"), dw_flops, || {
+            black_box(depthwise_conv2d(&x, &wd, None, geom));
+        });
         let qw = QDepthwiseW::pack(wd.as_slice(), 16, k, k);
         let mut qx = vec![0u8; x.numel()];
         let x_scale = activation_scale(max_abs(x.as_slice()));
         quantize_activations(x.as_slice(), x_scale, &mut qx);
         let mut qout = vec![0.0f32; x.numel()];
-        let variant = describe(Op::QDepthwise, false, false, 16, k * k, (hw * hw) as usize);
-        report.time(
-            &format!("qdepthwise_fwd/{k}"),
-            dw_flops,
-            Some(variant),
-            || {
-                qdepthwise_conv2d_into(
-                    &qx,
-                    4,
-                    &qw,
-                    None,
-                    geom,
-                    Epilogue::None,
-                    x_scale,
-                    16,
-                    16,
-                    &mut qout,
-                );
-                black_box(&qout);
-            },
-        );
+        report.time(&format!("qdepthwise_fwd/{k}"), dw_flops, || {
+            qdepthwise_conv2d_into(
+                &qx,
+                4,
+                &qw,
+                None,
+                geom,
+                Epilogue::None,
+                x_scale,
+                16,
+                16,
+                &mut qout,
+            );
+            black_box(&qout);
+        });
     }
     let wd = Tensor::randn([16, 3, 3], &mut rng);
     let geom = ConvGeometry::same(3, 1);
     let dw_flops = 2 * ns_b * c * hw * hw * 9;
     let y = depthwise_conv2d(&x, &wd, None, geom);
     let dy = Tensor::randn(y.shape().clone(), &mut rng);
-    report.time("depthwise_bwd_3x3", 3 * dw_flops, None, || {
+    report.time("depthwise_bwd_3x3", 3 * dw_flops, || {
         black_box(depthwise_conv2d_backward(&x, &wd, &dy, geom, true));
     });
 
     // Lowering and pooling (data movement; no GFLOP/s column).
     let xs = Tensor::randn([16 * 24 * 24], &mut rng);
     let mut cols = vec![0.0f32; 16 * 9 * 24 * 24];
-    report.time("im2col_16x24x24_k3", 0, None, || {
+    report.time("im2col_16x24x24_k3", 0, || {
         im2col(
             xs.as_slice(),
             16,
@@ -336,7 +299,7 @@ fn main() {
         black_box(&cols);
     });
     let fm = Tensor::randn([8, 32, 8, 8], &mut rng);
-    report.time("global_avg_pool", 8 * 32 * 8 * 8, None, || {
+    report.time("global_avg_pool", 8 * 32 * 8 * 8, || {
         black_box(global_avg_pool(&fm));
     });
 

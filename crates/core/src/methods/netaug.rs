@@ -65,8 +65,7 @@ pub fn train_netaug(
     };
     // Compiled fresh per eval batch: the plan snapshots weights and running
     // statistics, which keep moving between epochs during training. The
-    // compile step re-slices the base-subnet weights, which the InferCtx
-    // path also paid per call.
+    // compile step re-slices the base-subnet weights once per batch.
     let eval = |imgs: &nb_tensor::Tensor| {
         CompiledPlan::compile(imgs.dims(), |f, x| supernet.forward_subnet(f, x, base_cfg)).run(imgs)
     };

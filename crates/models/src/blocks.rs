@@ -149,9 +149,6 @@ impl InsertedBlock {
 
 impl Module for InsertedBlock {
     fn forward(&self, f: &mut dyn Forward, x: Value) -> Value {
-        if self.residual {
-            f.retain(x); // keep the skip branch alive past the block body
-        }
         let mut cur = x;
         for unit in &self.units {
             cur = unit.conv.forward(f, cur);
@@ -301,9 +298,6 @@ impl MbBlock {
 
 impl Module for MbBlock {
     fn forward(&self, f: &mut dyn Forward, x: Value) -> Value {
-        if self.residual {
-            f.retain(x); // keep the skip branch alive past the block body
-        }
         let mut cur = x;
         if let Some(expand) = &self.expand {
             cur = expand.forward(f, cur);

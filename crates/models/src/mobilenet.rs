@@ -198,9 +198,6 @@ impl TinyNet {
             let out_k = bs.out_c;
             let residual = block.residual && in_k == out_k;
             let block_in = cur;
-            if residual {
-                f.retain(block_in); // skip branch outlives the block body
-            }
             if let Some(PwSlot::Plain(conv)) = &block.expand {
                 cur = f.conv2d_sliced(cur, conv.weight(), hidden_k, in_k, conv.geom());
                 cur = f.batch_norm_sliced(

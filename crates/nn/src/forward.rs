@@ -1,18 +1,19 @@
 //! The [`Forward`] execution abstraction.
 //!
 //! Layer code (`Module::forward` and the model-level forwards built on it)
-//! is written once against this trait and served by two executors:
+//! is written once against this trait and served by two implementations:
 //!
 //! - the taped [`Session`] — records every op on an autograd [`Graph`]
 //!   node so [`Session::backward`] can run, retains all intermediates, and
 //!   honours training semantics (batch statistics, running-stat updates);
-//! - the eager [`InferCtx`](crate::InferCtx) — executes the same layer
-//!   math directly with no tape, recycling activation buffers as soon as
-//!   their last consumer has run.
+//! - the shape-only recorder inside [`CompiledPlan`](crate::CompiledPlan)
+//!   compilation — captures the op sequence and parameter snapshots once,
+//!   which the plan then rewrites and replays without a tape.
 //!
 //! Both paths share the pointwise kernels in [`nb_tensor::eltwise`] and the
-//! convolution/GEMM kernels, so for a fixed thread-pool width they produce
-//! bitwise-identical activations (see the parity suite in `nb-verify`).
+//! convolution/GEMM kernels, so for a fixed thread-pool width an unfolded,
+//! unfused plan produces bitwise the activations of taped eval (see the
+//! parity suite in `nb-verify`).
 //!
 //! [`Graph`]: nb_autograd::Graph
 
@@ -24,15 +25,12 @@ use nb_tensor::{ConvGeometry, Tensor};
 /// One execution path's view of a forward pass.
 ///
 /// [`Value`] handles are executor-local: a handle produced by one executor
-/// is meaningless to another. Ops *consume* their activation inputs — an
-/// executor is free to recycle an input buffer once the op returns, so a
-/// value that is needed again later (a residual branch) must be announced
-/// with [`Forward::retain`] before its first consumer runs. The taped
-/// executor retains everything and treats `retain` as a no-op.
+/// is meaningless to another. A value may feed any number of later ops (a
+/// residual branch reuses its input).
 ///
 /// Parameters are passed as [`Parameter`] handles, not tensors: the taped
 /// executor binds them (gradient-bearing, idempotent per session) while the
-/// grad-free executor borrows their storage for the duration of the op.
+/// plan recorder snapshots their values.
 pub trait Forward {
     /// Whether layers should run in training mode (batch statistics, etc.).
     fn training(&self) -> bool;
@@ -40,21 +38,18 @@ pub trait Forward {
     /// Inserts an input tensor, returning its handle.
     fn input(&mut self, t: Tensor) -> Value;
 
-    /// The tensor behind a live handle.
-    ///
-    /// # Panics
-    ///
-    /// May panic if the value has already been consumed (grad-free path).
+    /// The tensor behind a handle.
     fn value(&self, v: Value) -> &Tensor;
 
     /// Takes the tensor behind a handle out of the executor (cheaply, via
     /// COW-sharing on the taped path).
     fn take(&mut self, v: Value) -> Tensor;
 
-    /// Declares one extra future use of `v`, keeping it alive past its next
-    /// consumer. Required before forking a residual branch on the grad-free
-    /// path; a no-op on the tape.
-    fn retain(&mut self, v: Value);
+    /// Declares one extra future use of `v`. A no-op by default: both
+    /// executors keep every value readable for the whole forward pass, and
+    /// no layer calls it. It stays so that wrappers that override it keep
+    /// compiling.
+    fn retain(&mut self, _v: Value) {}
 
     /// Dense 2-D convolution with a layer's weight/bias parameters.
     fn conv2d(
@@ -110,8 +105,8 @@ pub trait Forward {
 
     /// Batch normalization with the layer's full parameter set. Training
     /// semantics (batch statistics + running-stat EMA updates) are the
-    /// executor's responsibility; the grad-free path always normalizes with
-    /// running statistics and never writes them.
+    /// executor's responsibility; eval mode always normalizes with running
+    /// statistics and never writes them.
     fn batch_norm(&mut self, x: Value, bn: &BatchNorm2d) -> Value;
 
     /// Batch normalization over the first `channels` channels of a sliced
@@ -154,8 +149,6 @@ impl Forward for Session {
     fn take(&mut self, v: Value) -> Tensor {
         self.graph.value(v).clone()
     }
-
-    fn retain(&mut self, _v: Value) {}
 
     fn conv2d(
         &mut self,

@@ -7,13 +7,12 @@
 //!
 //! The central abstractions are [`Module`] (a differentiable function with
 //! named parameters) and [`Forward`] (one execution path's view of a
-//! forward pass). Three executors implement [`Forward`]: the taped
-//! [`Session`] (one training step's tape plus the parameter bindings into
-//! it), the grad-free [`InferCtx`] (eager evaluation with recycled
-//! activation buffers and no tape), and the [`CompiledPlan`] (a serving
-//! path compiled once per model: batch-norm folding, activation fusion,
-//! prepacked GEMM weights, and a static activation arena). A single
-//! `Module::forward` definition serves all three.
+//! forward pass). There are two executors. The taped [`Session`] records
+//! one training step's tape plus the parameter bindings into it, and runs
+//! eval forwards on the same tape. The [`CompiledPlan`] is the inference
+//! path, compiled once per model from a [`Forward`] recording of the same
+//! `Module::forward`: batch-norm folding, activation fusion, prepacked GEMM
+//! weights, and a static activation arena.
 //!
 //! ## Example
 //!
@@ -39,7 +38,6 @@
 
 pub mod fold;
 mod forward;
-mod infer;
 pub mod init;
 pub mod layers;
 mod module;
@@ -50,11 +48,8 @@ mod state;
 
 pub use fold::{fold_bn, fold_bn_depthwise};
 pub use forward::Forward;
-pub use infer::InferCtx;
 pub use module::{join_name, BnRecord, Module, Session};
 pub use param::Parameter;
-pub use plan::{
-    quant_calib_batches, CompiledPlan, PlanArena, PlanOptions, PlanReplay, QuantPolicy,
-};
+pub use plan::{quant_calib_batches, CompiledPlan, PlanArena, PlanOptions, QuantPolicy};
 pub use sequential::Sequential;
 pub use state::{copy_params, named_parameters, StateDict};

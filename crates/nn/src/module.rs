@@ -141,8 +141,8 @@ impl Session {
 /// plus a set of named parameters.
 pub trait Module {
     /// Runs the layer's forward computation on an executor: recorded on the
-    /// tape when `f` is a [`Session`], executed eagerly and grad-free when
-    /// it is an [`InferCtx`](crate::InferCtx).
+    /// tape when `f` is a [`Session`], recorded once for compilation when
+    /// `f` is the [`CompiledPlan`](crate::CompiledPlan) recorder.
     fn forward(&self, f: &mut dyn crate::Forward, x: Value) -> Value;
 
     /// Visits every parameter with its hierarchical name

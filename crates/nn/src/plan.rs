@@ -1,15 +1,15 @@
-//! [`CompiledPlan`]: the ahead-of-time compiled serving executor.
+//! [`CompiledPlan`]: the ahead-of-time compiled inference executor.
 //!
-//! [`InferCtx`](crate::InferCtx) already skips the tape, but it still pays
-//! per-call costs a frozen deployment graph shouldn't: every forward
-//! re-packs GEMM weight panels, runs eval-mode batch norm as a separate
-//! elementwise pass, and grows thread-local scratch on demand. A
-//! `CompiledPlan` moves all of that to a one-time compile step:
+//! An eval forward on the tape ([`crate::Session`]) pays per-call costs a
+//! frozen deployment graph shouldn't: it records a node per op, keeps every
+//! intermediate alive, re-packs GEMM weight panels, runs eval-mode batch
+//! norm as a separate elementwise pass, and grows thread-local scratch on
+//! demand. A `CompiledPlan` moves all of that to a one-time compile step:
 //!
 //! 1. **Record** — the module's `forward` runs once against a shape-only
 //!    recorder (zero tensors, no kernels, no tape nodes), capturing the op
 //!    sequence, activation shapes at a probe batch, and parameter snapshots
-//!    (sliced exactly as `InferCtx` would slice them).
+//!    (sliced exactly as the taped executor slices them).
 //! 2. **Rewrite** — eval-mode batch norms fold into their preceding
 //!    conv/depthwise weights ([`crate::fold`]); identity activations
 //!    (decay slope `alpha >= 1`, the PLT endpoint) are elided; remaining
@@ -19,38 +19,32 @@
 //!    format ([`nb_tensor::PackedA`]/[`nb_tensor::PackedB`]) and reused
 //!    across calls. Conv replay then runs as a fully implicit GEMM: the
 //!    prepacked weight multiplies the input through a virtual im2col view,
-//!    so neither GEMM operand touches a scratch matrix at serve time. The
-//!    shape-keyed selector (`nb_tensor::selector`) picks each GEMM's
-//!    schedule, honoring the `NB_AUTOTUNE` cache when enabled.
+//!    so neither GEMM operand touches a scratch matrix at serve time. Each
+//!    GEMM's schedule is a pure function of its shape
+//!    ([`nb_tensor::gemm::variant`]), the same one the taped path runs.
 //! 4. **Arena** — activation buffers are assigned at compile time by a
 //!    best-fit liveness pass over per-sample sizes, so steady-state runs
 //!    perform no activation allocation and [`peak_bytes`] is a deterministic
 //!    function of the graph and batch size, not of runtime history.
 //!
-//! With folding disabled ([`PlanOptions`]) the plan is **bitwise identical**
-//! to `InferCtx` at every thread width: prepacked panels are byte-identical
-//! to on-demand packing, fused epilogues delegate to the same
-//! [`nb_tensor::eltwise`] expressions, and unfused batch norm uses the same
-//! `bn_invstd`/`bn_apply_inplace` kernels. Folding reassociates the
+//! With folding and fusion disabled ([`PlanOptions`]) the plan is **bitwise
+//! identical** to taped eval at every thread width: prepacked panels are
+//! byte-identical to on-demand packing, fused epilogues delegate to the
+//! same [`nb_tensor::eltwise`] expressions, and unfused batch norm uses the
+//! same `bn_invstd`/`bn_apply_inplace` kernels. Folding reassociates the
 //! per-channel scale into the convolution's multiply-accumulate chain, so a
 //! folded plan is exact in infinite precision and ULP-bounded in f32 (the
 //! parity suite in `nb-verify` checks both regimes).
 //!
 //! A compiled plan is **immutable after compile** (`Send + Sync`): every
 //! replay borrows the plan shared (`&self`) and keeps its mutable state —
-//! activation values, arena buffers, batch size, replay cursor — in a
-//! caller-owned [`PlanArena`]. That is what lets a multi-tenant server wrap
-//! one plan in an `Arc` and replay it concurrently from many worker
-//! threads, each with its own arena. [`CompiledPlan::run`] is the one-shot
+//! activation values, arena buffers, batch size — in a caller-owned
+//! [`PlanArena`]. That is what lets a multi-tenant server wrap one plan in
+//! an `Arc` and replay it concurrently from many worker threads, each with
+//! its own arena. [`CompiledPlan::run`] is the one-shot
 //! entry point (fresh arena per call); steady-state loops should hold a
 //! [`PlanArena`] from [`CompiledPlan::new_arena`] and call
 //! [`CompiledPlan::run_in`] so no activation allocation happens per batch.
-//!
-//! A plan replays only the module it was compiled from: the [`Forward`]
-//! implementation ([`PlanReplay`], from [`CompiledPlan::replayer`]) walks
-//! the recorded op sequence with a cursor and debug-asserts each call
-//! against the recorded kind. Use [`CompiledPlan::run`] for the common
-//! whole-model case.
 //!
 //! [`peak_bytes`]: CompiledPlan::peak_bytes
 
@@ -103,14 +97,15 @@ pub enum QuantPolicy {
 pub struct PlanOptions {
     /// Fold eval-mode batch norms into their preceding conv/depthwise
     /// weights. On (the default), the plan is fastest but ULP-bounded
-    /// rather than bitwise against `InferCtx`; off, it is bitwise.
+    /// rather than bitwise against taped eval; off (with `fuse` off too),
+    /// it is bitwise.
     pub fold_bn: bool,
     /// Fuse pointwise-expand → depthwise → pointwise-project chains into
     /// one strip-tiled action whose intermediates live in thread-local
-    /// scratch instead of the arena. On by default; `NB_FUSE=off` (or `0`)
-    /// flips the default off. Quantized fused blocks are bitwise identical
-    /// to their unfused twins; f32 fused blocks are ULP-bounded (the strip
-    /// GEMMs may pick a different schedule than the full-plane GEMMs).
+    /// scratch instead of the arena. On by default. Quantized fused blocks
+    /// are bitwise identical to their unfused twins; f32 fused blocks are
+    /// ULP-bounded (the strip GEMMs may pick a different schedule than the
+    /// full-plane GEMMs).
     pub fuse: bool,
     /// Which layers quantized compilation lowers to int8 (ignored by f32
     /// compilation). [`QuantPolicy::Auto`] picks per-layer mixed precision
@@ -120,36 +115,17 @@ pub struct PlanOptions {
 
 impl Default for PlanOptions {
     fn default() -> Self {
-        let fuse = !matches!(
-            std::env::var("NB_FUSE").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        );
         PlanOptions {
             fold_bn: true,
-            fuse,
+            fuse: true,
             quant_policy: QuantPolicy::default(),
         }
     }
 }
 
-/// Discriminant of a recorded op, used to check replay alignment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RecKind {
-    Conv,
-    Depthwise,
-    Linear,
-    BatchNorm,
-    Relu,
-    Relu6,
-    MaxPool,
-    AvgPool,
-    Gap,
-    Add,
-}
-
 /// One op captured by the recording pass. Parameter tensors are snapshotted
-/// (and pre-sliced, for the NetAug `_sliced` variants) exactly as `InferCtx`
-/// would materialize them.
+/// (and pre-sliced, for the NetAug `_sliced` variants) exactly as the taped
+/// executor materializes them.
 enum RecOp {
     Conv {
         x: usize,
@@ -208,36 +184,6 @@ enum RecOp {
 }
 
 impl RecOp {
-    fn kind(&self) -> RecKind {
-        match self {
-            RecOp::Conv { .. } => RecKind::Conv,
-            RecOp::Depthwise { .. } => RecKind::Depthwise,
-            RecOp::Linear { .. } => RecKind::Linear,
-            RecOp::BatchNorm { .. } => RecKind::BatchNorm,
-            RecOp::Relu { .. } => RecKind::Relu,
-            RecOp::Relu6 { .. } => RecKind::Relu6,
-            RecOp::MaxPool { .. } => RecKind::MaxPool,
-            RecOp::AvgPool { .. } => RecKind::AvgPool,
-            RecOp::Gap { .. } => RecKind::Gap,
-            RecOp::Add { .. } => RecKind::Add,
-        }
-    }
-
-    fn out(&self) -> usize {
-        match *self {
-            RecOp::Conv { out, .. }
-            | RecOp::Depthwise { out, .. }
-            | RecOp::Linear { out, .. }
-            | RecOp::BatchNorm { out, .. }
-            | RecOp::Relu { out, .. }
-            | RecOp::Relu6 { out, .. }
-            | RecOp::MaxPool { out, .. }
-            | RecOp::AvgPool { out, .. }
-            | RecOp::Gap { out, .. }
-            | RecOp::Add { out, .. } => out,
-        }
-    }
-
     fn inputs(&self) -> (usize, Option<usize>) {
         match *self {
             RecOp::Conv { x, .. }
@@ -307,8 +253,6 @@ impl Forward for Recorder {
     fn take(&mut self, v: Value) -> Tensor {
         self.vals[v.index()].clone()
     }
-
-    fn retain(&mut self, _v: Value) {}
 
     fn conv2d(
         &mut self,
@@ -415,8 +359,8 @@ impl Forward for Recorder {
     ) -> Value {
         let wv = w.value();
         let (out_f, big_in) = wv.shape().rc();
-        // Materialize the sliced weight exactly as `InferCtx` does: the
-        // leading `in_features` columns of every row.
+        // Materialize the sliced weight exactly as the taped executor does:
+        // the leading `in_features` columns of every row.
         let mut wk = Tensor::zeros([out_f, in_features]);
         {
             let dst = wk.as_mut_slice();
@@ -557,7 +501,7 @@ enum Kernel {
         act: Epilogue,
     },
     /// Int8 linear: quantized twin of `Linear` (bias and activation ride the
-    /// dequant epilogue; quantized plans owe no bitwise parity to `InferCtx`).
+    /// dequant epilogue; quantized plans owe no bitwise parity to taped eval).
     QLinear {
         qw: QPackedW,
         x_scale: f32,
@@ -624,32 +568,6 @@ enum Kernel {
 }
 
 impl Kernel {
-    /// Short display tag for the `NB_PLAN_PROFILE=1` breakdown.
-    fn tag(&self) -> &'static str {
-        match self {
-            Kernel::Conv { .. } => "conv",
-            Kernel::QConv { .. } => "qconv",
-            Kernel::QLinear { .. } => "qlinear",
-            Kernel::Depthwise { .. } => "depthwise",
-            Kernel::QDepthwise { .. } => "qdepthwise",
-            Kernel::Fused { expand, .. } => {
-                if expand.is_quant() {
-                    "qfused"
-                } else {
-                    "fused"
-                }
-            }
-            Kernel::Linear { .. } => "linear",
-            Kernel::BatchNorm { .. } => "bn",
-            Kernel::Relu { .. } => "relu",
-            Kernel::Relu6 { .. } => "relu6",
-            Kernel::MaxPool { .. } => "maxpool",
-            Kernel::AvgPool { .. } => "avgpool",
-            Kernel::Gap => "gap",
-            Kernel::Add { .. } => "add",
-        }
-    }
-
     /// Whether this kernel consumes int8-quantized operands (fused blocks
     /// delegate to their expand stage — the three stages always quantize
     /// together).
@@ -660,17 +578,6 @@ impl Kernel {
             _ => false,
         }
     }
-}
-
-/// Cached `NB_PLAN_PROFILE=1` check for [`CompiledPlan::run_in`].
-fn plan_profile_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        matches!(
-            std::env::var("NB_PLAN_PROFILE").as_deref(),
-            Ok("1") | Ok("on")
-        )
-    })
 }
 
 /// How an action obtains its output buffer.
@@ -721,9 +628,6 @@ struct Action {
 /// request.
 pub struct CompiledPlan {
     actions: Vec<Action>,
-    /// Per recorded op: expected kind, action to execute (None when the op
-    /// was folded/elided), canonical output value id.
-    rec_meta: Vec<(RecKind, Option<usize>, usize)>,
     in_dims: Vec<usize>,
     final_out: usize,
     /// Number of canonical value slots an arena must provide.
@@ -731,9 +635,9 @@ pub struct CompiledPlan {
     val_home: Vec<Option<usize>>,
     /// Per-sample f32 counts of every arena home, fixed at compile time.
     home_units: Vec<usize>,
-    /// Deterministic per-sample high-water mark of live activation f32s
-    /// (same accounting as `InferCtx::peak_bytes`); quantized actions also
-    /// account their transient u8 scratch here, in f32-equivalent units.
+    /// Deterministic per-sample high-water mark of live activation f32s;
+    /// quantized actions also account their transient u8 scratch here, in
+    /// f32-equivalent units.
     peak_units: usize,
     packed_bytes: usize,
     /// Largest per-sample u8 count any quantized action needs for its input
@@ -742,8 +646,7 @@ pub struct CompiledPlan {
 }
 
 /// Per-request replay state for a [`CompiledPlan`]: the live activation
-/// values, the recycled arena buffers, the bound batch size, and the
-/// replay cursor.
+/// values, the recycled arena buffers, and the bound batch size.
 ///
 /// Arenas are cheap to create ([`CompiledPlan::new_arena`]) and grow their
 /// buffers lazily on first replay; reusing one across runs keeps
@@ -757,7 +660,6 @@ pub struct PlanArena {
     /// plan (replay is sequential within an arena); high-water sized.
     qscratch: Vec<u8>,
     last_batch: usize,
-    cursor: usize,
 }
 
 impl PlanArena {
@@ -821,14 +723,13 @@ impl CompiledPlan {
     /// conv/linear operands.
     ///
     /// The result replays through every existing entry point ([`run`],
-    /// [`run_in`], [`replayer`], nb-serve) unchanged, and its replay is
+    /// [`run_in`], nb-serve) unchanged, and its replay is
     /// bitwise deterministic across thread widths: integer accumulation is
     /// exact under any schedule, so the only approximation is quantization
     /// itself, which the nb-verify `+plan-quant` accuracy budget bounds.
     ///
     /// [`run`]: CompiledPlan::run
     /// [`run_in`]: CompiledPlan::run_in
-    /// [`replayer`]: CompiledPlan::replayer
     ///
     /// # Panics
     ///
@@ -843,8 +744,7 @@ impl CompiledPlan {
     }
 
     /// [`CompiledPlan::compile_quantized`] with explicit [`PlanOptions`] —
-    /// how the verify suites build a fused and an unfused quantized twin in
-    /// one process without racing on the `NB_FUSE` environment variable.
+    /// how the verify suites build a fused and an unfused quantized twin.
     ///
     /// # Panics
     ///
@@ -890,7 +790,6 @@ impl CompiledPlan {
             homes: self.home_units.iter().map(|_| Vec::new()).collect(),
             qscratch: Vec::new(),
             last_batch: self.in_dims[0],
-            cursor: 0,
         }
     }
 
@@ -916,54 +815,14 @@ impl CompiledPlan {
     pub fn run_in(&self, arena: &mut PlanArena, x: &Tensor) -> Tensor {
         let v = self.bind(arena, x.clone());
         debug_assert_eq!(v.index(), 0);
-        if plan_profile_enabled() {
-            let mut rows = Vec::with_capacity(self.actions.len());
-            let t_all = std::time::Instant::now();
-            for ai in 0..self.actions.len() {
-                let t0 = std::time::Instant::now();
-                self.exec(arena, ai);
-                rows.push(t0.elapsed().as_nanos());
-            }
-            self.print_profile(arena.last_batch, &rows, t_all.elapsed().as_nanos());
-        } else {
-            for ai in 0..self.actions.len() {
-                self.exec(arena, ai);
-            }
+        for ai in 0..self.actions.len() {
+            self.exec(arena, ai);
         }
         self.take_value(arena, Value::from_index(self.final_out))
     }
 
-    /// `NB_PLAN_PROFILE=1` breakdown table: one row per action with the
-    /// kernel tag, output dims, wall ns, and share of the run.
-    fn print_profile(&self, batch: usize, rows: &[u128], total: u128) {
-        eprintln!(
-            "[plan-profile] batch={batch} actions={} total={total} ns",
-            rows.len()
-        );
-        for (ai, (a, ns)) in self.actions.iter().zip(rows).enumerate() {
-            let dims: Vec<String> = a.out_dims[1..].iter().map(|d| d.to_string()).collect();
-            let pct = *ns as f64 * 100.0 / total.max(1) as f64;
-            eprintln!(
-                "  #{ai:<3} {:<11} [{}] {ns:>10} ns  {pct:>5.1}%",
-                a.kernel.tag(),
-                dims.join("x"),
-            );
-        }
-    }
-
-    /// Wraps this plan and a fresh arena into a [`Forward`] executor that
-    /// replays the recorded op sequence call-by-call (for callers that walk
-    /// `Module::forward` themselves instead of using [`CompiledPlan::run`]).
-    pub fn replayer(&self) -> PlanReplay<'_> {
-        PlanReplay {
-            plan: self,
-            arena: self.new_arena(),
-        }
-    }
-
     /// Deterministic peak of live activation bytes at the probe batch — the
-    /// compile-time liveness high-water mark, directly comparable to
-    /// [`crate::InferCtx::peak_bytes`] at the same batch.
+    /// compile-time liveness high-water mark.
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes_at(self.in_dims[0])
     }
@@ -1027,7 +886,6 @@ impl CompiledPlan {
             "PlanArena belongs to a structurally different plan"
         );
         arena.last_batch = t.dims()[0];
-        arena.cursor = 0;
         // Reclaim last run's buffers into the arena before rebinding.
         let PlanArena { values, homes, .. } = arena;
         for (id, slot) in values.iter_mut().enumerate() {
@@ -1246,7 +1104,7 @@ impl CompiledPlan {
             (Kernel::Linear { wp, bias, act }, ExecMode::OutOfPlace { home }) => {
                 let mut buf = take_home(homes, home);
                 let xt = values[a.x].as_ref().expect("linear input live");
-                // With a bias the order must match InferCtx (matmul, then
+                // With a bias the order must match taped eval (matmul, then
                 // add_bias2, then activation); without one the activation
                 // rides the GEMM epilogue.
                 let gemm_act = if bias.is_some() { Epilogue::None } else { *act };
@@ -1317,22 +1175,6 @@ impl CompiledPlan {
             }
             self.exec(arena, ai);
         }
-    }
-
-    /// Replays one recorded op: executes its action (if any) and returns
-    /// the canonical output handle.
-    fn replay(&self, arena: &mut PlanArena, kind: RecKind) -> Value {
-        let i = arena.cursor;
-        arena.cursor += 1;
-        let (rec_kind, action, out) = self.rec_meta[i];
-        debug_assert_eq!(
-            rec_kind, kind,
-            "CompiledPlan replayed against a different forward than it was compiled from"
-        );
-        if let Some(ai) = action {
-            self.exec(arena, ai);
-        }
-        Value::from_index(out)
     }
 }
 
@@ -1443,7 +1285,6 @@ fn fused_strip_rows(
 /// pointwise GEMMs may select a different schedule than the full-plane
 /// ones. Both are bitwise thread-width invariant.
 fn run_fused(expand: &Kernel, dw: &Kernel, project: &Kernel, xt: &Tensor, out: &mut [f32]) {
-    use nb_tensor::selector;
     let d = xt.dims();
     let (n, c_in, h, w) = (d[0], d[1], d[2], d[3]);
     let x = xt.as_slice();
@@ -1476,16 +1317,9 @@ fn run_fused(expand: &Kernel, dw: &Kernel, project: &Kernel, xt: &Tensor, out: &
             let rows_in_max = ((strip - 1) * g.sh + g.kh).min(h);
             let (xg_cap, e_cap) = (c_in * rows_in_max * w, e * rows_in_max * w);
             let (d_cap, p_cap) = (e * strip * wo, c_out * strip * wo);
-            // One depthwise schedule decision per run, keyed exactly like
+            // One depthwise kernel decision per run, on the same shape as
             // the standalone action, so strips run the same kernel.
-            let dvar = selector::select(
-                selector::Op::Depthwise,
-                selector::Layout::NN,
-                e,
-                g.kh * g.kw,
-                ho * wo,
-            );
-            let simd = dvar.schedule != nb_tensor::Schedule::Direct;
+            let simd = nb_tensor::depthwise::row_strip(e, g.kh * g.kw, ho * wo);
             let ws = dww.as_slice();
             let ebias = ebias.as_ref().map(Tensor::as_slice);
             let dbias = dwb.as_ref().map(Tensor::as_slice);
@@ -1605,14 +1439,7 @@ fn run_fused(expand: &Kernel, dw: &Kernel, project: &Kernel, xt: &Tensor, out: &
             // Both producers requantize in their epilogues, so no f32
             // intermediate exists between the three stages.
             let qa_cap = xg_cap.max(d_cap);
-            let dvar = selector::select(
-                selector::Op::QDepthwise,
-                selector::Layout::NN,
-                e,
-                g.kh * g.kw,
-                ho * wo,
-            );
-            let simd = dvar.schedule != nb_tensor::Schedule::Direct;
+            let simd = nb_tensor::depthwise::row_strip(e, g.kh * g.kw, ho * wo);
             let scales = dqw.scales();
             let ebias = ebias.as_ref().map(Tensor::as_slice);
             let dbias = dwb.as_ref().map(Tensor::as_slice);
@@ -1708,128 +1535,6 @@ fn run_fused(expand: &Kernel, dw: &Kernel, project: &Kernel, xt: &Tensor, out: &
     }
 }
 
-/// [`Forward`] adapter over a shared [`CompiledPlan`] and an owned
-/// [`PlanArena`]: replays the recorded op sequence call-by-call.
-///
-/// Built by [`CompiledPlan::replayer`]. Multiple replayers over one plan
-/// may run concurrently — the plan is borrowed shared; all mutation lands
-/// in this replayer's arena.
-pub struct PlanReplay<'p> {
-    plan: &'p CompiledPlan,
-    arena: PlanArena,
-}
-
-impl Forward for PlanReplay<'_> {
-    fn training(&self) -> bool {
-        false
-    }
-
-    fn input(&mut self, t: Tensor) -> Value {
-        self.plan.bind(&mut self.arena, t)
-    }
-
-    fn value(&self, v: Value) -> &Tensor {
-        self.arena.values[v.index()]
-            .as_ref()
-            .expect("value not live in compiled plan")
-    }
-
-    fn take(&mut self, v: Value) -> Tensor {
-        // Deep copy so the arena keeps its buffer; final outputs are small
-        // (logits / detection grids) relative to the activations saved.
-        self.plan.take_value(&self.arena, v)
-    }
-
-    fn retain(&mut self, _v: Value) {}
-
-    fn conv2d(
-        &mut self,
-        _x: Value,
-        _w: &Parameter,
-        _b: Option<&Parameter>,
-        _geom: ConvGeometry,
-    ) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::Conv)
-    }
-
-    fn conv2d_sliced(
-        &mut self,
-        _x: Value,
-        _w: &Parameter,
-        _out_c: usize,
-        _in_c: usize,
-        _geom: ConvGeometry,
-    ) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::Conv)
-    }
-
-    fn depthwise_conv2d(
-        &mut self,
-        _x: Value,
-        _w: &Parameter,
-        _b: Option<&Parameter>,
-        _geom: ConvGeometry,
-    ) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::Depthwise)
-    }
-
-    fn depthwise_conv2d_sliced(
-        &mut self,
-        _x: Value,
-        _w: &Parameter,
-        _channels: usize,
-        _geom: ConvGeometry,
-    ) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::Depthwise)
-    }
-
-    fn linear(&mut self, _x: Value, _w: &Parameter, _b: Option<&Parameter>) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::Linear)
-    }
-
-    fn linear_sliced(
-        &mut self,
-        _x: Value,
-        _w: &Parameter,
-        _b: Option<&Parameter>,
-        _in_features: usize,
-    ) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::Linear)
-    }
-
-    fn batch_norm(&mut self, _x: Value, _bn: &BatchNorm2d) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::BatchNorm)
-    }
-
-    fn batch_norm_sliced(&mut self, _x: Value, _bn: &BatchNorm2d, _channels: usize) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::BatchNorm)
-    }
-
-    fn relu_decay(&mut self, _x: Value, _alpha: f32) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::Relu)
-    }
-
-    fn relu6_decay(&mut self, _x: Value, _alpha: f32) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::Relu6)
-    }
-
-    fn max_pool(&mut self, _x: Value, _geom: ConvGeometry) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::MaxPool)
-    }
-
-    fn avg_pool(&mut self, _x: Value, _geom: ConvGeometry) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::AvgPool)
-    }
-
-    fn global_avg_pool(&mut self, _x: Value) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::Gap)
-    }
-
-    fn add(&mut self, _a: Value, _b: Value) -> Value {
-        self.plan.replay(&mut self.arena, RecKind::Add)
-    }
-}
-
 /// Identity activation test: slopes are clamped to `[0, 1]`, so
 /// `alpha >= 1` means exactly `max(x, x) = x` (and the ReLU6 correction
 /// term is multiplied by zero).
@@ -1855,8 +1560,8 @@ impl Liveness<'_> {
         self.val_dims[id][1..].iter().product()
     }
 
-    /// Best-fit home acquisition, mirroring `InferCtx::alloc`: smallest free
-    /// home that fits, else grow the largest free home, else a new home.
+    /// Best-fit home acquisition: smallest free home that fits, else grow
+    /// the largest free home, else a new home.
     fn acquire(&mut self, need: usize) -> usize {
         let mut best: Option<usize> = None;
         for (pos, &h) in self.free.iter().enumerate() {
@@ -2074,14 +1779,12 @@ fn build(
     // --- Pass A: peephole rewrite into actions over canonical value ids ---
     let mut canon: Vec<usize> = (0..nvals).collect();
     let mut actions: Vec<Action> = Vec::new();
-    let mut rec_meta: Vec<(RecKind, Option<usize>, usize)> = Vec::with_capacity(ops.len());
     let mut packed_bytes = 0usize;
     let mut i = 0;
     while i < ops.len() {
-        let kind = ops[i].kind();
         match &ops[i] {
             RecOp::Conv { x, out, w, b, geom } | RecOp::Depthwise { x, out, w, b, geom } => {
-                let depthwise = kind == RecKind::Depthwise;
+                let depthwise = matches!(ops[i], RecOp::Depthwise { .. });
                 let (mut w, mut b) = (w.clone(), b.clone());
                 let mut tail = *out;
                 let mut consumed = 0usize;
@@ -2188,10 +1891,6 @@ fn build(
                     free_after: Vec::new(),
                     early_free: Vec::new(),
                 });
-                rec_meta.push((kind, Some(ai), canon[*out]));
-                for j in 1..=consumed {
-                    rec_meta.push((ops[i + j].kind(), None, canon[ops[i + j].out()]));
-                }
                 i += 1 + consumed;
             }
             RecOp::Linear { x, out, w, b } => {
@@ -2256,15 +1955,10 @@ fn build(
                     free_after: Vec::new(),
                     early_free: Vec::new(),
                 });
-                rec_meta.push((kind, Some(ai), canon[*out]));
-                for j in 1..=consumed {
-                    rec_meta.push((ops[i + j].kind(), None, canon[ops[i + j].out()]));
-                }
                 i += 1 + consumed;
             }
             RecOp::BatchNorm { x, out, snap } => {
                 let invstd = eltwise::bn_invstd(&snap.running_var(), snap.eps());
-                let ai = actions.len();
                 actions.push(Action {
                     x: canon[*x],
                     out: canon[*out],
@@ -2279,21 +1973,18 @@ fn build(
                     free_after: Vec::new(),
                     early_free: Vec::new(),
                 });
-                rec_meta.push((kind, Some(ai), canon[*out]));
                 i += 1;
             }
             RecOp::Relu { x, out, alpha } | RecOp::Relu6 { x, out, alpha } => {
                 if is_identity_alpha(*alpha) {
                     // Standalone identity activation (PLT endpoint): pure alias.
                     canon[*out] = canon[*x];
-                    rec_meta.push((kind, None, canon[*out]));
                 } else {
-                    let kernel = if kind == RecKind::Relu {
+                    let kernel = if matches!(ops[i], RecOp::Relu { .. }) {
                         Kernel::Relu { alpha: *alpha }
                     } else {
                         Kernel::Relu6 { alpha: *alpha }
                     };
-                    let ai = actions.len();
                     actions.push(Action {
                         x: canon[*x],
                         out: canon[*out],
@@ -2303,17 +1994,15 @@ fn build(
                         free_after: Vec::new(),
                         early_free: Vec::new(),
                     });
-                    rec_meta.push((kind, Some(ai), canon[*out]));
                 }
                 i += 1;
             }
             RecOp::MaxPool { x, out, geom } | RecOp::AvgPool { x, out, geom } => {
-                let kernel = if kind == RecKind::MaxPool {
+                let kernel = if matches!(ops[i], RecOp::MaxPool { .. }) {
                     Kernel::MaxPool { geom: *geom }
                 } else {
                     Kernel::AvgPool { geom: *geom }
                 };
-                let ai = actions.len();
                 actions.push(Action {
                     x: canon[*x],
                     out: canon[*out],
@@ -2323,11 +2012,9 @@ fn build(
                     free_after: Vec::new(),
                     early_free: Vec::new(),
                 });
-                rec_meta.push((kind, Some(ai), canon[*out]));
                 i += 1;
             }
             RecOp::Gap { x, out } => {
-                let ai = actions.len();
                 actions.push(Action {
                     x: canon[*x],
                     out: canon[*out],
@@ -2337,11 +2024,9 @@ fn build(
                     free_after: Vec::new(),
                     early_free: Vec::new(),
                 });
-                rec_meta.push((kind, Some(ai), canon[*out]));
                 i += 1;
             }
             RecOp::Add { a, b, out } => {
-                let ai = actions.len();
                 actions.push(Action {
                     x: canon[*a],
                     out: canon[*out],
@@ -2351,7 +2036,6 @@ fn build(
                     free_after: Vec::new(),
                     early_free: Vec::new(),
                 });
-                rec_meta.push((kind, Some(ai), canon[*out]));
                 i += 1;
             }
         }
@@ -2425,19 +2109,12 @@ fn build(
         if fuse_at.iter().any(|&f| f) {
             let mut old: Vec<Option<Action>> =
                 std::mem::take(&mut actions).into_iter().map(Some).collect();
-            let mut old2new: Vec<Option<usize>> = vec![None; old.len()];
-            // Swallowed intermediates alias to the block's final output so
-            // replay hands back a live value for the covered rec ops.
-            let mut val_alias: Vec<usize> = (0..nvals).collect();
             let mut i = 0;
             while i < old.len() {
                 if fuse_at[i] {
                     let a0 = old[i].take().expect("pass F take");
                     let a1 = old[i + 1].take().expect("pass F take");
                     let a2 = old[i + 2].take().expect("pass F take");
-                    val_alias[a0.out] = a2.out;
-                    val_alias[a1.out] = a2.out;
-                    old2new[i] = Some(actions.len());
                     actions.push(Action {
                         x: a0.x,
                         out: a2.out,
@@ -2453,14 +2130,9 @@ fn build(
                     });
                     i += 3;
                 } else {
-                    old2new[i] = Some(actions.len());
                     actions.push(old[i].take().expect("pass F take"));
                     i += 1;
                 }
-            }
-            for (_, act_opt, out) in rec_meta.iter_mut() {
-                *act_opt = act_opt.and_then(|ai| old2new[ai]);
-                *out = val_alias[*out];
             }
         }
     }
@@ -2531,9 +2203,8 @@ fn build(
             st.live_units -= q_units;
             a.early_free = early_free;
         } else if in_place {
-            // Mirror InferCtx's consume-then-store accounting: the input
-            // leaves before the output lands, so same-size in-place ops
-            // never bump the peak.
+            // Consume-then-store accounting: the input leaves before the
+            // output lands, so same-size in-place ops never bump the peak.
             let inherits = st.remaining[x] == 1 && x != 0;
             st.consume(x, &mut free_after, !inherits);
             if inherits {
@@ -2571,7 +2242,6 @@ fn build(
 
     CompiledPlan {
         actions,
-        rec_meta,
         in_dims,
         final_out,
         nvals,
@@ -2596,7 +2266,7 @@ const _: fn() = || {
 mod tests {
     use super::*;
     use crate::layers::{ActKind, Activation, BatchNorm2d, Conv2d, DepthwiseConv2d, Linear};
-    use crate::{InferCtx, Module, Sequential};
+    use crate::{Module, Sequential, Session};
     use nb_autograd::nodes_allocated;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -2632,12 +2302,13 @@ mod tests {
             .push(Linear::new(8, 4, true, rng))
     }
 
-    fn infer_forward(model: &Sequential, x: &Tensor) -> (Tensor, usize) {
-        let mut ctx = InferCtx::new();
-        let xv = ctx.input(x.clone());
-        let yv = model.forward(&mut ctx, xv);
-        let out = ctx.take(yv);
-        (out, ctx.peak_bytes())
+    /// Taped eval forward: the reference output and the bytes the tape
+    /// retains.
+    fn eval_forward(model: &Sequential, x: &Tensor) -> (Tensor, usize) {
+        let mut s = Session::new(false);
+        let xv = s.input(x.clone());
+        let yv = model.forward(&mut s, xv);
+        (s.value(yv).clone(), s.graph.retained_bytes())
     }
 
     #[test]
@@ -2645,7 +2316,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let model = conv_model(&mut rng);
         let x = Tensor::randn([2, 3, 8, 8], &mut rng);
-        let (want, _) = infer_forward(&model, &x);
+        let (want, _) = eval_forward(&model, &x);
 
         let before = nodes_allocated();
         let plan = CompiledPlan::compile_with(
@@ -2668,7 +2339,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let model = conv_model(&mut rng);
         let x = Tensor::randn([2, 3, 8, 8], &mut rng);
-        let (want, _) = infer_forward(&model, &x);
+        let (want, _) = eval_forward(&model, &x);
 
         let plan = CompiledPlan::compile(x.dims(), |f, v| model.forward(f, v));
         let unfolded = CompiledPlan::compile_with(
@@ -2711,23 +2382,23 @@ mod tests {
         let x8 = Tensor::randn([8, 3, 8, 8], &mut rng);
         let big = plan.run_in(&mut arena, &x8);
         assert_eq!(big.dims(), &[8, 4]);
-        let (want, _) = infer_forward(&model, &x8);
+        let (want, _) = eval_forward(&model, &x8);
         assert!(big.allclose(&want, 1e-4));
     }
 
     #[test]
-    fn peak_bytes_no_worse_than_infer_ctx() {
+    fn peak_bytes_below_tape() {
         let mut rng = StdRng::seed_from_u64(13);
         let model = conv_model(&mut rng);
         let x = Tensor::randn([2, 3, 8, 8], &mut rng);
-        let (_, infer_peak) = infer_forward(&model, &x);
+        let (_, tape_bytes) = eval_forward(&model, &x);
         let plan = CompiledPlan::compile(x.dims(), |f, v| model.forward(f, v));
         let _ = plan.run(&x);
         assert!(
-            plan.peak_bytes() <= infer_peak,
-            "plan peak {} vs InferCtx {}",
+            plan.peak_bytes() < tape_bytes,
+            "plan peak {} vs tape {}",
             plan.peak_bytes(),
-            infer_peak
+            tape_bytes
         );
         assert!(plan.arena_bytes() > 0);
         assert!(plan.packed_bytes() > 0);
@@ -2741,7 +2412,7 @@ mod tests {
         act.slope().set(1.0); // PLT-linearized
         let model = Sequential::new().push(conv).push(act);
         let x = Tensor::randn([1, 3, 6, 6], &mut rng);
-        let (want, _) = infer_forward(&model, &x);
+        let (want, _) = eval_forward(&model, &x);
         let plan = CompiledPlan::compile(x.dims(), |f, v| model.forward(f, v));
         assert_eq!(plan.action_count(), 1, "identity activation not elided");
         let got = plan.run(&x);
@@ -2749,40 +2420,25 @@ mod tests {
     }
 
     #[test]
-    fn mlp_with_residual_retain_matches_infer_ctx() {
+    fn mlp_with_residual_matches_taped_eval() {
         let mut rng = StdRng::seed_from_u64(15);
         let l1 = Linear::new(6, 6, true, &mut rng);
         let l2 = Linear::new(6, 4, false, &mut rng);
         let x = Tensor::randn([3, 6], &mut rng);
         let fwd = |f: &mut dyn Forward, v: Value| {
-            f.retain(v);
             let h = l1.forward(f, v);
             let h = f.relu_decay(h, 0.25);
             let h = f.add(h, v);
             l2.forward(f, h)
         };
-        let mut ctx = InferCtx::new();
-        let xv = ctx.input(x.clone());
-        let yv = fwd(&mut ctx, xv);
-        let want = ctx.take(yv);
+        let mut s = Session::new(false);
+        let xv = s.input(x.clone());
+        let yv = fwd(&mut s, xv);
+        let want = s.value(yv).clone();
 
         let plan = CompiledPlan::compile(x.dims(), fwd);
         let got = plan.run(&x);
         assert_eq!(got.as_slice(), want.as_slice(), "residual path bitwise");
-    }
-
-    #[test]
-    fn forward_replay_matches_run() {
-        let mut rng = StdRng::seed_from_u64(16);
-        let model = conv_model(&mut rng);
-        let x = Tensor::randn([2, 3, 8, 8], &mut rng);
-        let plan = CompiledPlan::compile(x.dims(), |f, v| model.forward(f, v));
-        let via_run = plan.run(&x);
-        let mut replay = plan.replayer();
-        let xv = replay.input(x.clone());
-        let yv = model.forward(&mut replay, xv);
-        let via_replay = replay.take(yv);
-        assert_eq!(via_run.as_slice(), via_replay.as_slice());
     }
 
     #[test]
@@ -2954,11 +2610,6 @@ mod tests {
         for (a, b) in want.as_slice().iter().zip(got.as_slice()) {
             assert!((a - b).abs() <= 0.1 * range, "pointwise quant diverged");
         }
-        // Replayer path over a quantized plan.
-        let mut replay = qplan.replayer();
-        let xv = replay.input(x.clone());
-        let yv = model.forward(&mut replay, xv);
-        assert_eq!(replay.take(yv).as_slice(), got.as_slice());
     }
 
     #[test]
@@ -3067,7 +2718,7 @@ mod tests {
             }
             let model = Sequential::new().push(conv).push(bn);
             let x = Tensor::randn([2, 3, 6, 6], &mut rng);
-            let (want, _) = infer_forward(&model, &x);
+            let (want, _) = eval_forward(&model, &x);
             let plan = CompiledPlan::compile(x.dims(), |f, v| model.forward(f, v));
             let got = plan.run(&x);
             assert!(

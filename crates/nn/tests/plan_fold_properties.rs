@@ -7,17 +7,18 @@
 //! fold-off plan tests in `nb_nn::plan`).
 
 use nb_nn::layers::{BatchNorm2d, Conv2d, DepthwiseConv2d};
-use nb_nn::{CompiledPlan, Forward, InferCtx, Module, Sequential};
+use nb_nn::{CompiledPlan, Module, Sequential, Session};
 use nb_tensor::{ConvGeometry, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn infer_forward(model: &Sequential, x: &Tensor) -> Tensor {
-    let mut ctx = InferCtx::new();
-    let xv = ctx.input(x.clone());
-    let yv = model.forward(&mut ctx, xv);
-    ctx.take(yv)
+/// Taped eval forward: the unfused conv-then-bn reference.
+fn eval_forward(model: &Sequential, x: &Tensor) -> Tensor {
+    let mut s = Session::new(false);
+    let xv = s.input(x.clone());
+    let yv = model.forward(&mut s, xv);
+    s.value(yv).clone()
 }
 
 /// `1e-4 * sqrt(k)`: the repo's standard allclose bound for a length-`k`
@@ -44,7 +45,7 @@ fn random_bn(c: usize, eps: f32, affine: bool, seed: u64) -> BatchNorm2d {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dense conv + bn: the folded plan matches the unfused InferCtx path.
+    /// Dense conv + bn: the folded plan matches the unfused taped path.
     #[test]
     fn folded_dense_conv_bn_matches_unfused(
         in_c in 1usize..6,
@@ -61,7 +62,7 @@ proptest! {
             .push(conv)
             .push(random_bn(out_c, eps, affine, seed ^ 0x9e37));
         let x = Tensor::randn([2, in_c, 7, 7], &mut rng);
-        let want = infer_forward(&model, &x);
+        let want = eval_forward(&model, &x);
         let plan = CompiledPlan::compile(x.dims(), |f, v| model.forward(f, v));
         let got = plan.run(&x);
         let k = in_c * kernel * kernel;
@@ -86,7 +87,7 @@ proptest! {
             .push(dw)
             .push(random_bn(channels, eps, affine, seed ^ 0x7f4a));
         let x = Tensor::randn([2, channels, 7, 7], &mut rng);
-        let want = infer_forward(&model, &x);
+        let want = eval_forward(&model, &x);
         let plan = CompiledPlan::compile(x.dims(), |f, v| model.forward(f, v));
         let got = plan.run(&x);
         prop_assert!(

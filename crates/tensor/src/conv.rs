@@ -11,24 +11,20 @@
 //! multiplies the input viewed through a virtual im2col layout
 //! ([`crate::gemm::Im2colRef`]), so the GEMM packing loop gathers panel
 //! slivers straight out of the image and the `[c_in*kh*kw, ho*wo]` column
-//! matrix is never written to memory. The materialized twin
-//! ([`conv2d_into_explicit`]) is retained for the differential verification
-//! suites, and the *gradients* still lower explicitly through [`im2col`] /
-//! [`col2im`] (the backward GEMMs read the column matrix twice, so
-//! materializing it once pays for itself). Depthwise convolution is computed
-//! directly. All kernels parallelize over the batch dimension on the
-//! persistent worker pool, and the backward-path column matrices live in
-//! thread-local scratch buffers, so a steady-state training step performs no
-//! kernel-side heap allocation beyond the output tensors themselves. The
-//! conv bias is fused into the GEMM epilogue rather than added in a second
-//! pass.
+//! matrix is never written to memory. The *gradients* still lower
+//! explicitly through [`im2col`] / [`col2im`] (the backward GEMMs read the
+//! column matrix twice, so materializing it once pays for itself).
+//! Depthwise convolution is computed directly. All kernels parallelize over
+//! the batch dimension on the persistent worker pool, and the backward-path
+//! column matrices live in thread-local scratch buffers, so a steady-state
+//! training step performs no kernel-side heap allocation beyond the output
+//! tensors themselves. The conv bias is fused into the GEMM epilogue rather
+//! than added in a second pass.
 
 use crate::eltwise::Epilogue;
 use crate::gemm::{
-    gemm, gemm_conv_batch, gemm_conv_explicit, gemm_conv_packed, gemm_conv_packed_mat, Im2colRef,
-    PackedA,
+    gemm, gemm_conv_batch, gemm_conv_packed, gemm_conv_packed_mat, Im2colRef, PackedA,
 };
-use crate::selector::{self, Schedule};
 use crate::threadpool::{self, with_scratch, SharedMut, CONV_COLS, CONV_DCOLS, CONV_DW_PARTS};
 use crate::{ConvGeometry, Tensor};
 
@@ -159,14 +155,14 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, geom: ConvGeometry) ->
 /// [`conv2d`] writing into a caller-provided flat output buffer of length
 /// `n * c_out * ho * wo`. Every element of `out` is overwritten (the bias is
 /// the GEMM row initializer), so the buffer's prior contents are irrelevant —
-/// this is what lets inference contexts recycle activation buffers without a
-/// zeroing pass.
+/// this is what lets compiled plans recycle arena slots without a zeroing
+/// pass.
 ///
 /// The forward lowering is *implicit*: each sample is handed to the GEMM as
 /// a virtual im2col view, so the packing loop reads the image directly and
-/// no column matrix is materialized. Bits match [`conv2d_into_explicit`]
-/// exactly — the packed panel bytes and the direct-path accumulation order
-/// are both identical by construction.
+/// no column matrix is materialized. Bits match a GEMM over the materialized
+/// column matrix exactly — the packed panel bytes and the direct-path
+/// accumulation order are both identical by construction.
 ///
 /// # Panics
 ///
@@ -203,48 +199,6 @@ pub fn conv2d_into(
     // pools. Bias rides along as the GEMM row initializer (one value per
     // output channel), so no second pass over the output is needed.
     gemm_conv_batch(ws, &im, xs, out, c_out, bias);
-}
-
-/// [`conv2d_into`] through the legacy explicit lowering: materialize each
-/// sample's column matrix with [`im2col`], then run the same conv-keyed GEMM
-/// on it. Kept as the differential twin of the implicit path — nb-verify's
-/// `+implicit` suite checks the two agree bitwise across the conv geometry
-/// grid and thread widths.
-///
-/// # Panics
-///
-/// Panics on shape inconsistencies or a wrong `out` length.
-pub fn conv2d_into_explicit(
-    x: &Tensor,
-    w: &Tensor,
-    b: Option<&Tensor>,
-    geom: ConvGeometry,
-    out: &mut [f32],
-) {
-    let (n, c_in, h, wd, c_out, ho, wo) = conv_shapes(x, w, geom);
-    if let Some(b) = b {
-        assert_eq!(b.dims(), &[c_out], "conv bias shape");
-    }
-    assert_eq!(
-        out.len(),
-        n * c_out * ho * wo,
-        "conv2d_into_explicit output length"
-    );
-    let in_sz = c_in * h * wd;
-    let out_sz = c_out * ho * wo;
-    let col_rows = c_in * geom.kh * geom.kw;
-    let xs = x.as_slice();
-    let ws = w.as_slice();
-    let bias = b.map(Tensor::as_slice);
-    let shared_out = SharedMut::new(out);
-    threadpool::parallel_for(n, &|ni| {
-        // Safety: each task writes only its own sample's output window.
-        let o_sample = unsafe { shared_out.slice(ni * out_sz, out_sz) };
-        with_scratch(&CONV_COLS, col_rows * ho * wo, |cols| {
-            im2col(&xs[ni * in_sz..(ni + 1) * in_sz], c_in, h, wd, geom, cols);
-            gemm_conv_explicit(ws, cols, o_sample, c_out, col_rows, ho * wo, bias);
-        });
-    });
 }
 
 /// [`conv2d_into`] against a prepacked weight, with the bias as the GEMM row
@@ -453,10 +407,10 @@ pub fn depthwise_conv2d_into(
 /// Shared forward driver behind [`depthwise_conv2d_into`] and
 /// [`depthwise_conv2d_fused_into`]: one task per sample, with the (possibly
 /// identity) epilogue applied to the finished sample inside the same task.
-/// The per-channel stencil runs through [`crate::depthwise::dw_channel_rows`]
-/// under the shape-keyed selector: `Direct` is the scalar reference, any
-/// `Blocked` schedule the AVX2 row-strip kernel — bitwise identical either
-/// way, so the choice (and `NB_AUTOTUNE`) is speed-only.
+/// The per-channel stencil runs through [`crate::depthwise::dw_channel_rows`],
+/// on the AVX2 row-strip kernel where [`crate::depthwise::row_strip`] picks
+/// it and the scalar reference otherwise — bitwise identical either way, so
+/// the choice is speed-only.
 fn depthwise_dispatch(
     x: &Tensor,
     w: &Tensor,
@@ -474,15 +428,7 @@ fn depthwise_dispatch(
     let bias = b.map(Tensor::as_slice);
     let in_sz = c * h * wd;
     let out_sz = c * ho * wo;
-    // Select once, outside the sample loop: the selector takes a lock.
-    let variant = selector::select(
-        selector::Op::Depthwise,
-        selector::Layout::NN,
-        c,
-        geom.kh * geom.kw,
-        ho * wo,
-    );
-    let simd = variant.schedule != Schedule::Direct;
+    let simd = crate::depthwise::row_strip(c, geom.kh * geom.kw, ho * wo);
     let shared_out = SharedMut::new(out);
     threadpool::parallel_for(n, &|ni| {
         // Safety: each task writes only its own sample's output window.
@@ -536,8 +482,8 @@ pub fn depthwise_conv2d_fused_into(
 /// conv's im2col matrix *is* the input, so the GEMM runs on it directly.
 /// This is the stage kernel the fused inverted-residual executor in `nb-nn`
 /// drives over output-row strips; it shares the plan pointwise fast path's
-/// kernel and conv selector namespace, so fused and unfused execution pick
-/// the same schedule family for a given `n`.
+/// kernel, so fused and unfused execution pick the same schedule for a
+/// given `n`.
 ///
 /// # Panics
 ///
@@ -1045,8 +991,7 @@ mod tests {
     }
 
     #[test]
-    fn implicit_forward_matches_explicit_bitwise() {
-        use crate::selector::with_autotune_off;
+    fn forward_is_width_invariant() {
         use crate::threadpool::with_thread_cap;
         let mut rng = StdRng::seed_from_u64(9);
         for &(k, s, p) in &[
@@ -1061,58 +1006,42 @@ mod tests {
             let w = Tensor::randn([6, 3, k, k], &mut rng);
             let b = Tensor::randn([6], &mut rng);
             let (ho, wo) = geom.output_hw(11, 9);
-            with_autotune_off(|| {
-                let mut implicit = vec![0.0f32; 2 * 6 * ho * wo];
-                conv2d_into(&x, &w, Some(&b), geom, &mut implicit);
-                let mut explicit = vec![0.0f32; 2 * 6 * ho * wo];
-                conv2d_into_explicit(&x, &w, Some(&b), geom, &mut explicit);
-                assert!(
-                    implicit
-                        .iter()
-                        .zip(&explicit)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "k={k} s={s} p={p}: implicit != explicit"
-                );
-                // And the implicit path is thread-width invariant.
-                let mut serial = vec![0.0f32; 2 * 6 * ho * wo];
-                with_thread_cap(1, || conv2d_into(&x, &w, Some(&b), geom, &mut serial));
-                assert!(
-                    implicit
-                        .iter()
-                        .zip(&serial)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "k={k} s={s} p={p}: implicit not width-invariant"
-                );
-            });
+            let mut wide = vec![0.0f32; 2 * 6 * ho * wo];
+            conv2d_into(&x, &w, Some(&b), geom, &mut wide);
+            let mut serial = vec![0.0f32; 2 * 6 * ho * wo];
+            with_thread_cap(1, || conv2d_into(&x, &w, Some(&b), geom, &mut serial));
+            assert!(
+                wide.iter()
+                    .zip(&serial)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "k={k} s={s} p={p}: forward not width-invariant"
+            );
         }
     }
 
     #[test]
     fn backward_gradients_are_width_invariant() {
-        use crate::selector::with_autotune_off;
         use crate::threadpool::with_thread_cap;
         let mut rng = StdRng::seed_from_u64(21);
         let geom = ConvGeometry::square(3, 1, 1);
         let x = Tensor::randn([5, 3, 9, 9], &mut rng);
         let w = Tensor::randn([4, 3, 3, 3], &mut rng);
         let dy = Tensor::randn([5, 4, 9, 9], &mut rng);
-        with_autotune_off(|| {
-            let (dx, dw, db) = conv2d_backward(&x, &w, &dy, geom, true);
-            let (dx1, dw1, db1) = with_thread_cap(1, || conv2d_backward(&x, &w, &dy, geom, true));
-            for (name, a, b) in [
-                ("dx", &dx, &dx1),
-                ("dw", &dw, &dw1),
-                ("db", db.as_ref().unwrap(), db1.as_ref().unwrap()),
-            ] {
-                assert!(
-                    a.as_slice()
-                        .iter()
-                        .zip(b.as_slice())
-                        .all(|(u, v)| u.to_bits() == v.to_bits()),
-                    "{name} not width-invariant"
-                );
-            }
-        });
+        let (dx, dw, db) = conv2d_backward(&x, &w, &dy, geom, true);
+        let (dx1, dw1, db1) = with_thread_cap(1, || conv2d_backward(&x, &w, &dy, geom, true));
+        for (name, a, b) in [
+            ("dx", &dx, &dx1),
+            ("dw", &dw, &dw1),
+            ("db", db.as_ref().unwrap(), db1.as_ref().unwrap()),
+        ] {
+            assert!(
+                a.as_slice()
+                    .iter()
+                    .zip(b.as_slice())
+                    .all(|(u, v)| u.to_bits() == v.to_bits()),
+                "{name} not width-invariant"
+            );
+        }
     }
 
     #[test]

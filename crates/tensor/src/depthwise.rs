@@ -29,17 +29,24 @@
 //! ## Selection
 //!
 //! Fixed-size fast paths exist for the geometries tiny inverted-residual
-//! models actually use — 3x3 and 5x5 at stride 1 and 2 — behind the
-//! shape-keyed [`crate::selector`] (`Op::Depthwise` / `Op::QDepthwise`):
-//! `Direct` runs the scalar reference, any `Blocked` schedule runs the SIMD
-//! path (the block geometry is ignored; there is nothing to block). Since
-//! the two produce identical bits, autotuning is purely a speed decision.
+//! models actually use — 3x3 and 5x5 at stride 1 and 2. [`row_strip`], a
+//! pure function of the shape, decides whether a layer runs them or the
+//! scalar reference. Since the two produce identical bits, the choice is
+//! purely a speed decision.
 
 use crate::eltwise::Epilogue;
 use crate::qgemm::{QW_MAX, Q_ZERO};
-use crate::selector::{self, Schedule, Variant};
 use crate::threadpool::{self, SharedMut};
 use crate::ConvGeometry;
+
+/// Whether a depthwise layer of `c` channels, `taps = kh * kw` and
+/// `plane = ho * wo` output pixels runs the row-strip SIMD kernels (where
+/// the host and geometry allow them) rather than the scalar reference:
+/// from `16³` multiply-adds per sample, the same cutoff as the GEMM's
+/// direct loops.
+pub fn row_strip(c: usize, taps: usize, plane: usize) -> bool {
+    c * taps * plane >= crate::gemm::SMALL_MNK
+}
 
 /// Scalar reference: output columns `[j0, j1)` of absolute output row `oi`
 /// for one channel. `plane` holds input rows `[h0, h0 + plane.len()/w)` of
@@ -993,14 +1000,7 @@ pub fn qdepthwise_conv2d_into(
     if out.is_empty() {
         return;
     }
-    let variant = selector::select(
-        selector::Op::QDepthwise,
-        selector::Layout::NN,
-        c,
-        geom.kh * geom.kw,
-        ho * wo,
-    );
-    let simd = variant.schedule != Schedule::Direct;
+    let simd = row_strip(c, geom.kh * geom.kw, ho * wo);
     let in_sz = c * h * w;
     let out_sz = c * ho * wo;
     let scales = qw.scales();
@@ -1032,126 +1032,6 @@ pub fn qdepthwise_conv2d_into(
         }
         act.apply(o_sample);
     });
-}
-
-fn isqrt(x: usize) -> usize {
-    let mut r = (x as f64).sqrt() as usize;
-    while (r + 1) * (r + 1) <= x {
-        r += 1;
-    }
-    while r * r > x {
-        r -= 1;
-    }
-    r
-}
-
-/// Autotunes a depthwise selector key `(c, kh*kw, ho*wo)` by timing the
-/// scalar (`Direct`) and SIMD (`Blocked`) schedules on a synthetic
-/// stride-1 same-padded proxy of the key's shape. Both schedules produce
-/// identical bits, so this is purely a speed decision; the proxy cannot
-/// recover the exact geometry from the key, but interior-dominated row
-/// strips time the same for any geometry with the same tap count.
-pub(crate) fn tune_depthwise(quant: bool, m: usize, k: usize, n: usize) -> Variant {
-    let c = m.max(1);
-    let r = isqrt(k.max(1));
-    let (kh, kw) = if r * r == k && k > 0 {
-        (r, r)
-    } else {
-        (1, k.max(1))
-    };
-    let h = isqrt(n.max(1)).max(1);
-    let w = n.max(1).div_ceil(h);
-    let geom = ConvGeometry {
-        kh,
-        kw,
-        sh: 1,
-        sw: 1,
-        ph: kh / 2,
-        pw: kw / 2,
-    };
-    let (ho, wo) = geom.output_hw(h, w);
-    let fill = |len: usize, salt: u64| -> Vec<f32> {
-        let mut state = salt | 1;
-        (0..len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 40) as f32 / (1u32 << 24) as f32) - 0.5
-            })
-            .collect()
-    };
-    let x = fill(c * h * w, 0x9e3779b9);
-    let wf = fill(c * kh * kw, 0x7f4a7c15);
-    let mut out = vec![0.0f32; c * ho * wo];
-    let qw = quant.then(|| QDepthwiseW::pack(&wf, c, kh, kw));
-    let (x_scale, qx) = if quant {
-        let s = crate::qgemm::activation_scale(crate::qgemm::max_abs(&x));
-        let mut q = vec![0u8; x.len()];
-        crate::qgemm::quantize_activations(&x, s, &mut q);
-        (s, q)
-    } else {
-        (1.0, Vec::new())
-    };
-    let cands = [
-        Variant {
-            schedule: Schedule::Direct,
-            parallel: false,
-        },
-        Variant {
-            schedule: Schedule::Blocked {
-                mc: crate::gemm::MC_STD,
-                nc: crate::gemm::NC_STD,
-            },
-            parallel: false,
-        },
-    ];
-    let flops = (2 * c * kh * kw * ho * wo).max(1) as u64;
-    let reps = (2_000_000 / flops).clamp(2, 64) as usize;
-    let mut best = (u128::MAX, cands[1]);
-    for &cand in &cands {
-        let simd = cand.schedule != Schedule::Direct;
-        let run = |out: &mut [f32]| {
-            for ci in 0..c {
-                let o_plane = &mut out[ci * ho * wo..(ci + 1) * ho * wo];
-                if let Some(qw) = &qw {
-                    qdw_channel_rows(
-                        &qx[ci * h * w..(ci + 1) * h * w],
-                        0,
-                        h,
-                        w,
-                        qw.filter(ci),
-                        qw.kersum(ci),
-                        qw.scales()[ci] * x_scale,
-                        0.0,
-                        geom,
-                        wo,
-                        0,
-                        ho,
-                        o_plane,
-                        simd,
-                    );
-                } else {
-                    let plane = &x[ci * h * w..(ci + 1) * h * w];
-                    let ker = &wf[ci * kh * kw..(ci + 1) * kh * kw];
-                    dw_channel_rows(plane, 0, h, w, ker, 0.0, geom, wo, 0, ho, o_plane, simd);
-                }
-            }
-        };
-        run(&mut out);
-        let mut elapsed = u128::MAX;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                run(&mut out);
-            }
-            elapsed = elapsed.min(t0.elapsed().as_nanos());
-        }
-        if elapsed < best.0 {
-            best = (elapsed, cand);
-        }
-    }
-    best.1
 }
 
 #[cfg(test)]
@@ -1580,17 +1460,6 @@ mod tests {
                     assert!((a - b).abs() <= tol, "quant far from f32: {a} vs {b}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn tuner_returns_valid_variant() {
-        for quant in [false, true] {
-            let v = tune_depthwise(quant, 4, 9, 64);
-            assert!(matches!(
-                v.schedule,
-                Schedule::Direct | Schedule::Blocked { .. }
-            ));
         }
     }
 }

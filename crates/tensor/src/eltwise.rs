@@ -2,7 +2,7 @@
 //!
 //! These are the single source of truth for the pointwise math that both
 //! execution paths run: the taped autograd forward (`nb-autograd`) and the
-//! grad-free inference context (`nb-nn`'s `InferCtx`) call the same
+//! compiled inference plan (`nb-nn`'s `CompiledPlan`) call the same
 //! functions here, so their outputs are bitwise identical by construction.
 //! Every kernel is in-place over an exclusively-owned tensor (the COW layer
 //! detaches shared buffers first), iterates in flat row-major order, and

@@ -10,17 +10,16 @@
 //! happens in thread-local scratch buffers (see [`crate::threadpool`]) so
 //! steady-state GEMMs allocate nothing.
 //!
-//! Which schedule runs — the no-pack direct loops, or the blocked kernel
-//! with a concrete `(MC, NC)` pair, serial or row-split — is decided per
-//! shape by [`crate::selector`]. `KC` is fixed: it pins the per-element
-//! accumulation order, which is what keeps all blocked schedules of a shape
-//! bitwise-identical and lets the autotuner swap them freely.
+//! Which schedule runs — the no-pack direct loops or the blocked kernel,
+//! serial or row-split — is a pure function of the shape, [`variant`].
+//! `KC` is fixed: it pins the per-element accumulation order, which is what
+//! keeps the serial and row-split schedules of a shape bitwise-identical.
 //!
 //! The right operand does not have to be a materialized matrix: the conv
 //! forward path hands the packing loop an [`Im2colRef`], a *virtual* im2col
 //! layout that gathers panel slivers straight out of the input image. The
 //! packed bytes are identical to packing a materialized column matrix, so
-//! the implicit path is bitwise-equal to the explicit one while never
+//! the implicit path is bitwise-equal to a GEMM over that matrix while never
 //! writing the `[c_in*kh*kw, ho*wo]` buffer at all.
 //!
 //! Builds target baseline `x86-64`, so on x86-64 hosts the tile loop
@@ -36,7 +35,6 @@
 //! results are bitwise identical regardless of thread count.
 
 use crate::eltwise::Epilogue;
-use crate::selector::{self, Layout, Op, Schedule, Variant};
 use crate::threadpool::{self, with_scratch, SharedMut, GEMM_PACK_A, GEMM_PACK_B};
 use crate::ConvGeometry;
 
@@ -44,19 +42,61 @@ use crate::ConvGeometry;
 pub const MR: usize = 4;
 /// Microkernel tile width (columns of C held in registers).
 pub const NR: usize = 8;
-/// Standard-schedule rows of A packed per L2-resident block (multiple of
-/// `MR`). The autotuner may select other MC values; this is the default.
-pub(crate) const MC_STD: usize = 64;
-/// Depth of a packed panel (inner dimension per pass). Not tunable: the
-/// k-split order fixes the accumulation order and therefore the output bits.
+/// Rows of A packed per L2-resident block (multiple of `MR`).
+const MC: usize = 64;
+/// Depth of a packed panel (inner dimension per pass). The k-split order
+/// fixes the accumulation order and therefore the output bits.
 const KC: usize = 256;
-/// Standard-schedule columns of B packed per strip (multiple of `NR`).
-pub(crate) const NC_STD: usize = 256;
+/// Columns of B packed per strip (multiple of `NR`).
+const NC: usize = 256;
 
 /// Below this many multiply-adds the naive loops beat packing overhead.
 pub(crate) const SMALL_MNK: usize = 16 * 16 * 16;
 /// Below this many multiply-adds a single thread beats pool dispatch.
-pub(crate) const PARALLEL_MNK: usize = 1 << 17;
+const PARALLEL_MNK: usize = 1 << 17;
+
+/// Loop structure of one GEMM-shaped problem.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Schedule {
+    /// No-pack naive loops (small problems, where packing traffic outweighs
+    /// the blocked kernel).
+    Direct,
+    /// The packed BLIS-style kernel over `MC x KC` and `KC x NC` blocks.
+    Blocked,
+}
+
+/// The kernel choice for one GEMM-shaped problem; see [`variant`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Variant {
+    /// Which loop structure runs.
+    pub schedule: Schedule,
+    /// Split across the worker pool. A hint, not a bit contract: the f32
+    /// split is by `MR`-aligned row chunks that each run the full blocked
+    /// algorithm, and the int8 split is by column strips of an exact integer
+    /// accumulation, so bits never depend on this flag.
+    pub parallel: bool,
+}
+
+/// The kernel choice for an `m x k` by `k x n` problem: direct loops below
+/// `16³` multiply-adds, the packed kernel from there, split across the pool
+/// from `2¹⁷`. A pure function of the shape, so two executors that meet the
+/// same shape (matmul and a prepacked plan, f32 and int8) always run the
+/// same schedule. Degenerate shapes (`m`, `n`, or `k` of zero) are handled
+/// by callers before dispatch.
+pub fn variant(m: usize, k: usize, n: usize) -> Variant {
+    let mnk = m * k * n;
+    if mnk < SMALL_MNK {
+        Variant {
+            schedule: Schedule::Direct,
+            parallel: false,
+        }
+    } else {
+        Variant {
+            schedule: Schedule::Blocked,
+            parallel: mnk >= PARALLEL_MNK,
+        }
+    }
+}
 
 /// General matrix multiply: `C = A' * B'` (or `C += A' * B'`).
 ///
@@ -109,34 +149,22 @@ pub fn gemm(
         }
         return;
     }
-    let variant = selector::select(Op::Gemm, Layout::from_trans(a_trans, b_trans), m, k, n);
-    run_gemm_variant(
-        variant, a, a_trans, b, b_trans, c, m, k, n, row_init, accumulate,
+    let bop = BOperand::Mat { b, trans: b_trans };
+    run_variant(
+        variant(m, k, n),
+        a,
+        a_trans,
+        &bop,
+        c,
+        m,
+        k,
+        n,
+        row_init,
+        accumulate,
     );
 }
 
-/// Executes one already-selected variant on matrix operands. This is the
-/// entry the autotuner times candidates through; it must never re-enter the
-/// selector.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_gemm_variant(
-    variant: Variant,
-    a: &[f32],
-    a_trans: bool,
-    b: &[f32],
-    b_trans: bool,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    row_init: Option<&[f32]>,
-    accumulate: bool,
-) {
-    let bop = BOperand::Mat { b, trans: b_trans };
-    run_variant(variant, a, a_trans, &bop, c, m, k, n, row_init, accumulate);
-}
-
-/// Shared executor behind [`gemm`] and the implicit-conv entry points.
+/// Executes one variant of [`gemm`] on an unpacked left operand.
 #[allow(clippy::too_many_arguments)]
 fn run_variant(
     variant: Variant,
@@ -150,25 +178,20 @@ fn run_variant(
     row_init: Option<&[f32]>,
     accumulate: bool,
 ) {
-    let (mc_blk, nc_blk) = match variant.schedule {
-        Schedule::Direct => {
-            match bop {
-                BOperand::Mat { b, trans } => {
-                    gemm_naive(a, a_trans, b, *trans, c, m, k, n, row_init, accumulate);
-                }
-                BOperand::Im2col(im) => {
-                    gemm_naive_im2col(a, a_trans, im, c, m, k, n, row_init, accumulate);
-                }
+    if variant.schedule == Schedule::Direct {
+        match bop {
+            BOperand::Mat { b, trans } => {
+                gemm_naive(a, a_trans, b, *trans, c, m, k, n, row_init, accumulate);
             }
-            return;
+            BOperand::Im2col(im) => {
+                gemm_naive_im2col(a, a_trans, im, c, m, k, n, row_init, accumulate);
+            }
         }
-        Schedule::Blocked { mc, nc } => (mc, nc),
-    };
+        return;
+    }
     let threads = threadpool::num_threads();
     if !variant.parallel || threads <= 1 || m < 2 * MR {
-        gemm_blocked(
-            a, a_trans, bop, c, 0, m, m, k, n, row_init, accumulate, mc_blk, nc_blk,
-        );
+        gemm_blocked(a, a_trans, bop, c, 0, m, m, k, n, row_init, accumulate);
         return;
     }
     // Split rows into MR-aligned chunks, one task each. Each task runs the
@@ -183,7 +206,7 @@ fn run_variant(
         // Safety: row ranges [i0, i0 + rows) are disjoint across tasks.
         let c_rows = unsafe { shared_c.slice(i0 * n, rows * n) };
         gemm_blocked(
-            a, a_trans, bop, c_rows, i0, rows, m, k, n, row_init, accumulate, mc_blk, nc_blk,
+            a, a_trans, bop, c_rows, i0, rows, m, k, n, row_init, accumulate,
         );
     });
 }
@@ -318,7 +341,7 @@ fn gemm_naive_im2col(
 /// zeros outside the image. [`Im2colRef::pack`] gathers `KC x NR` panel
 /// slivers in exactly the layout [`pack_b`] would produce from the
 /// materialized matrix, which is what makes the implicit conv path
-/// bitwise-equal to the explicit one.
+/// bitwise-equal to a GEMM over that matrix.
 #[derive(Clone, Copy)]
 pub(crate) struct Im2colRef<'a> {
     /// One sample, `[c_in, h, w]` flat.
@@ -691,9 +714,8 @@ mod x86 {
     }
 }
 
-/// Blocked GEMM over the row range `[i0, i0 + mc_total)` of the full problem
-/// with the given `(MC, NC)` schedule. `c` holds exactly those rows
-/// (`mc_total x n`, row-major).
+/// Blocked GEMM over the row range `[i0, i0 + mc_total)` of the full problem.
+/// `c` holds exactly those rows (`mc_total x n`, row-major).
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     a: &[f32],
@@ -707,20 +729,18 @@ fn gemm_blocked(
     n: usize,
     row_init: Option<&[f32]>,
     accumulate: bool,
-    mc_blk: usize,
-    nc_blk: usize,
 ) {
     let fma = use_fma_kernel();
-    with_scratch(&GEMM_PACK_B, KC * nc_blk.div_ceil(NR) * NR, |bp| {
-        with_scratch(&GEMM_PACK_A, KC * mc_blk.div_ceil(MR) * MR, |ap| {
-            for jc in (0..n).step_by(nc_blk) {
-                let nc = nc_blk.min(n - jc);
+    with_scratch(&GEMM_PACK_B, KC * NC, |bp| {
+        with_scratch(&GEMM_PACK_A, KC * MC, |ap| {
+            for jc in (0..n).step_by(NC) {
+                let nc = NC.min(n - jc);
                 for pc in (0..k).step_by(KC) {
                     let kc = KC.min(k - pc);
                     bop.pack_panel(bp, k, n, pc, kc, jc, nc);
                     let first = pc == 0;
-                    for ic in (0..mc_total).step_by(mc_blk) {
-                        let mc = mc_blk.min(mc_total - ic);
+                    for ic in (0..mc_total).step_by(MC) {
+                        let mc = MC.min(mc_total - ic);
                         pack_a(ap, a, a_trans, m, k, i0 + ic, mc, pc, kc);
                         macro_kernel(
                             ap, bp, c, ic, mc, jc, nc, n, kc, i0, row_init, accumulate, first, fma,
@@ -786,8 +806,8 @@ fn macro_kernel(
 /// are stored contiguously at `pc * m.div_ceil(MR) * MR`, each sliver being
 /// `kc x MR` (zero-padded past `m`). The blocked kernel then slices straight
 /// into the prepacked buffer instead of repacking, so results stay bitwise
-/// identical to the pack-on-demand path — for any `(MC, NC)` schedule the
-/// selector picks, since the layout depends only on `KC` and `MR`. The raw
+/// identical to the pack-on-demand path, serial or row-split, since the
+/// layout depends only on `KC` and `MR`. The raw
 /// operand is retained so the small-problem dispatch can run the same naive
 /// loops [`gemm`] would.
 pub struct PackedA {
@@ -890,8 +910,8 @@ impl PackedB {
 /// [`gemm`] with a prepacked left operand and a fused activation epilogue:
 /// `C = act(A' * B' + row_init)`.
 ///
-/// Dispatch mirrors [`gemm`] exactly (same selector keys, so the same
-/// variant runs), and the prepacked panels are byte-identical to what the
+/// Dispatch mirrors [`gemm`] exactly (the same [`variant`] runs), and the
+/// prepacked panels are byte-identical to what the
 /// blocked path would pack, so the output bits match `gemm` followed by a
 /// separate elementwise activation pass for every thread count. The epilogue
 /// is applied per row-chunk on the parallel path, which is equivalent
@@ -911,12 +931,12 @@ pub fn gemm_a_packed(
 ) {
     assert_eq!(b.len(), pa.k * n, "gemm_a_packed rhs buffer length");
     let bop = BOperand::Mat { b, trans: b_trans };
-    gemm_a_packed_driver(Op::Gemm, pa, &bop, b_trans, c, n, row_init, act);
+    gemm_a_packed_driver(pa, &bop, c, n, row_init, act);
 }
 
 /// The conv forward GEMM against a prepacked weight and a *virtual* im2col
 /// right operand — the serving-path kernel behind `CompiledPlan`. See
-/// [`Im2colRef`] for the bitwise contract with the explicit path.
+/// [`Im2colRef`] for the bitwise contract with a materialized column matrix.
 pub(crate) fn gemm_conv_packed(
     pa: &PackedA,
     im: &Im2colRef,
@@ -927,11 +947,11 @@ pub(crate) fn gemm_conv_packed(
     assert_eq!(im.rows(), pa.k, "implicit conv operand inner dimension");
     let n = im.cols();
     let bop = BOperand::Im2col(im);
-    gemm_a_packed_driver(Op::Conv, pa, &bop, false, c, n, row_init, act);
+    gemm_a_packed_driver(pa, &bop, c, n, row_init, act);
 }
 
 /// The conv forward GEMM against a prepacked weight and a *materialized*
-/// right operand, still under the conv key namespace. The 1x1 stride-1
+/// right operand. The 1x1 stride-1
 /// unpadded fast path uses this: a pointwise conv's column matrix is the
 /// input sample itself, so packing the sample directly produces the same
 /// panel bytes as the virtual view with none of the coordinate math.
@@ -945,37 +965,11 @@ pub(crate) fn gemm_conv_packed_mat(
 ) {
     assert_eq!(b.len(), pa.k * n, "pointwise conv operand length");
     let bop = BOperand::Mat { b, trans: false };
-    gemm_a_packed_driver(Op::Conv, pa, &bop, false, c, n, row_init, act);
-}
-
-/// The conv forward GEMM over an explicitly materialized im2col matrix —
-/// the differential twin of [`gemm_conv_batch`], kept for the verification
-/// suites. It shares the conv key namespace, so both executors always run
-/// the same variant and stay bitwise-comparable under any autotune mode.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_conv_explicit(
-    ws: &[f32],
-    cols: &[f32],
-    c: &mut [f32],
-    c_out: usize,
-    k: usize,
-    n: usize,
-    row_init: Option<&[f32]>,
-) {
-    assert_eq!(ws.len(), c_out * k, "explicit conv weight length");
-    assert_eq!(cols.len(), k * n, "explicit conv column matrix length");
-    assert_eq!(c.len(), c_out * n, "explicit conv output length");
-    if c_out == 0 || n == 0 {
-        return;
-    }
-    let variant = selector::select(Op::Conv, Layout::NN, c_out, k, n);
-    run_gemm_variant(
-        variant, ws, false, cols, false, c, c_out, k, n, row_init, false,
-    );
+    gemm_a_packed_driver(pa, &bop, c, n, row_init, act);
 }
 
 /// The conv forward GEMM with an unpacked weight matrix and virtual im2col
-/// right operands — the training/infer-path kernel behind `conv2d_into`.
+/// right operands — the training-path kernel behind `conv2d_into`.
 ///
 /// Batched: the weight matrix is packed into panel form **once**, in
 /// thread-local scratch, and reused by every sample's GEMM instead of being
@@ -1017,9 +1011,8 @@ pub(crate) fn gemm_conv_batch(
         x: &batch[ni * in_sz..(ni + 1) * in_sz],
         ..*im
     };
-    let variant = selector::select(Op::Conv, Layout::NN, c_out, k, n);
     let threads = threadpool::num_threads();
-    if let Schedule::Blocked { .. } = variant.schedule {
+    if variant(c_out, k, n).schedule == Schedule::Blocked {
         let mb = c_out.div_ceil(MR);
         with_scratch(&GEMM_PACK_A, k * mb * MR, |ap| {
             pack_a_full(ap, ws, false, c_out, k);
@@ -1031,35 +1024,13 @@ pub(crate) fn gemm_conv_batch(
                     let o = unsafe { shared_out.slice(ni * out_sz, out_sz) };
                     let sm = sample(ni);
                     let bop = BOperand::Im2col(&sm);
-                    gemm_blocked_pa(
-                        panels,
-                        c_out,
-                        k,
-                        &bop,
-                        o,
-                        0,
-                        c_out,
-                        n,
-                        row_init,
-                        variant.schedule,
-                    );
+                    gemm_blocked_pa(panels, c_out, k, &bop, o, 0, c_out, n, row_init);
                 });
             } else {
                 for (ni, o) in out.chunks_exact_mut(out_sz).enumerate() {
                     let sm = sample(ni);
                     let bop = BOperand::Im2col(&sm);
-                    gemm_blocked_pa(
-                        panels,
-                        c_out,
-                        k,
-                        &bop,
-                        o,
-                        0,
-                        c_out,
-                        n,
-                        row_init,
-                        variant.schedule,
-                    );
+                    gemm_blocked_pa(panels, c_out, k, &bop, o, 0, c_out, n, row_init);
                 }
             }
         });
@@ -1082,10 +1053,8 @@ pub(crate) fn gemm_conv_batch(
 /// Shared driver for the prepacked-A entry points.
 #[allow(clippy::too_many_arguments)]
 fn gemm_a_packed_driver(
-    op: Op,
     pa: &PackedA,
     bop: &BOperand,
-    b_trans: bool,
     c: &mut [f32],
     n: usize,
     row_init: Option<&[f32]>,
@@ -1107,36 +1076,22 @@ fn gemm_a_packed_driver(
         act.apply(c);
         return;
     }
-    let variant = selector::select(op, Layout::from_trans(pa.trans, b_trans), m, k, n);
-    match variant.schedule {
-        Schedule::Direct => {
-            match bop {
-                BOperand::Mat { b, trans } => {
-                    gemm_naive(&pa.raw, pa.trans, b, *trans, c, m, k, n, row_init, false);
-                }
-                BOperand::Im2col(im) => {
-                    gemm_naive_im2col(&pa.raw, pa.trans, im, c, m, k, n, row_init, false);
-                }
+    let variant = variant(m, k, n);
+    if variant.schedule == Schedule::Direct {
+        match bop {
+            BOperand::Mat { b, trans } => {
+                gemm_naive(&pa.raw, pa.trans, b, *trans, c, m, k, n, row_init, false);
             }
-            act.apply(c);
-            return;
+            BOperand::Im2col(im) => {
+                gemm_naive_im2col(&pa.raw, pa.trans, im, c, m, k, n, row_init, false);
+            }
         }
-        Schedule::Blocked { .. } => {}
+        act.apply(c);
+        return;
     }
     let threads = threadpool::num_threads();
     if !variant.parallel || threads <= 1 || m < 2 * MR {
-        gemm_blocked_pa(
-            &pa.panels,
-            m,
-            k,
-            bop,
-            c,
-            0,
-            m,
-            n,
-            row_init,
-            variant.schedule,
-        );
+        gemm_blocked_pa(&pa.panels, m, k, bop, c, 0, m, n, row_init);
         act.apply(c);
         return;
     }
@@ -1148,18 +1103,7 @@ fn gemm_a_packed_driver(
         let rows = chunk.min(m - i0);
         // Safety: row ranges [i0, i0 + rows) are disjoint across tasks.
         let c_rows = unsafe { shared_c.slice(i0 * n, rows * n) };
-        gemm_blocked_pa(
-            &pa.panels,
-            m,
-            k,
-            bop,
-            c_rows,
-            i0,
-            rows,
-            n,
-            row_init,
-            variant.schedule,
-        );
+        gemm_blocked_pa(&pa.panels, m, k, bop, c_rows, i0, rows, n, row_init);
         act.apply(c_rows);
     });
 }
@@ -1198,18 +1142,15 @@ pub fn gemm_b_packed(
         act.apply(c);
         return;
     }
-    let variant = selector::select(Op::Gemm, Layout::from_trans(a_trans, pb.trans), m, k, n);
-    match variant.schedule {
-        Schedule::Direct => {
-            gemm_naive(a, a_trans, &pb.raw, pb.trans, c, m, k, n, row_init, false);
-            act.apply(c);
-            return;
-        }
-        Schedule::Blocked { .. } => {}
+    let variant = variant(m, k, n);
+    if variant.schedule == Schedule::Direct {
+        gemm_naive(a, a_trans, &pb.raw, pb.trans, c, m, k, n, row_init, false);
+        act.apply(c);
+        return;
     }
     let threads = threadpool::num_threads();
     if !variant.parallel || threads <= 1 || m < 2 * MR {
-        gemm_blocked_pb(a, a_trans, pb, c, 0, m, m, row_init, variant.schedule);
+        gemm_blocked_pb(a, a_trans, pb, c, 0, m, m, row_init);
         act.apply(c);
         return;
     }
@@ -1221,24 +1162,13 @@ pub fn gemm_b_packed(
         let rows = chunk.min(m - i0);
         // Safety: row ranges [i0, i0 + rows) are disjoint across tasks.
         let c_rows = unsafe { shared_c.slice(i0 * n, rows * n) };
-        gemm_blocked_pb(
-            a,
-            a_trans,
-            pb,
-            c_rows,
-            i0,
-            rows,
-            m,
-            row_init,
-            variant.schedule,
-        );
+        gemm_blocked_pb(a, a_trans, pb, c_rows, i0, rows, m, row_init);
         act.apply(c_rows);
     });
 }
 
 /// [`gemm_blocked`] with A read from prepacked panels instead of repacking.
-/// Every selectable `MC` is a multiple of `MR` and the parallel row split is
-/// `MR`-aligned, so `(i0 + ic) / MR` lands exactly on a sliver boundary and
+/// `MC` is a multiple of `MR` and the parallel row split is `MR`-aligned, so `(i0 + ic) / MR` lands exactly on a sliver boundary and
 /// the existing [`macro_kernel`] indexing works unchanged on the slab tail.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked_pa(
@@ -1251,27 +1181,19 @@ fn gemm_blocked_pa(
     mc_total: usize,
     n: usize,
     row_init: Option<&[f32]>,
-    schedule: Schedule,
 ) {
-    let Schedule::Blocked {
-        mc: mc_blk,
-        nc: nc_blk,
-    } = schedule
-    else {
-        unreachable!("gemm_blocked_pa requires a blocked schedule")
-    };
     let mb = m.div_ceil(MR);
     let fma = use_fma_kernel();
-    with_scratch(&GEMM_PACK_B, KC * nc_blk.div_ceil(NR) * NR, |bp| {
-        for jc in (0..n).step_by(nc_blk) {
-            let nc = nc_blk.min(n - jc);
+    with_scratch(&GEMM_PACK_B, KC * NC, |bp| {
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 bop.pack_panel(bp, k, n, pc, kc, jc, nc);
                 let first = pc == 0;
                 let slab = &panels[pc * mb * MR..];
-                for ic in (0..mc_total).step_by(mc_blk) {
-                    let mc = mc_blk.min(mc_total - ic);
+                for ic in (0..mc_total).step_by(MC) {
+                    let mc = MC.min(mc_total - ic);
                     let ap = &slab[(i0 + ic) / MR * kc * MR..];
                     macro_kernel(
                         ap, bp, c, ic, mc, jc, nc, n, kc, i0, row_init, false, first, fma,
@@ -1283,7 +1205,7 @@ fn gemm_blocked_pa(
 }
 
 /// [`gemm_blocked`] with B read from prepacked panels instead of repacking.
-/// Every selectable `NC` is a multiple of `NR`, so `jc / NR` lands exactly
+/// `NC` is a multiple of `NR`, so `jc / NR` lands exactly
 /// on a sliver boundary within the k-panel's slab.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked_pb(
@@ -1295,27 +1217,19 @@ fn gemm_blocked_pb(
     mc_total: usize,
     m: usize,
     row_init: Option<&[f32]>,
-    schedule: Schedule,
 ) {
-    let Schedule::Blocked {
-        mc: mc_blk,
-        nc: nc_blk,
-    } = schedule
-    else {
-        unreachable!("gemm_blocked_pb requires a blocked schedule")
-    };
     let (k, n) = (pb.k, pb.n);
     let nb = n.div_ceil(NR);
     let fma = use_fma_kernel();
-    with_scratch(&GEMM_PACK_A, KC * mc_blk.div_ceil(MR) * MR, |ap| {
-        for jc in (0..n).step_by(nc_blk) {
-            let nc = nc_blk.min(n - jc);
+    with_scratch(&GEMM_PACK_A, KC * MC, |ap| {
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 let bp = &pb.panels[pc * nb * NR + jc / NR * kc * NR..];
                 let first = pc == 0;
-                for ic in (0..mc_total).step_by(mc_blk) {
-                    let mc = mc_blk.min(mc_total - ic);
+                for ic in (0..mc_total).step_by(MC) {
+                    let mc = MC.min(mc_total - ic);
                     pack_a(ap, a, a_trans, m, k, i0 + ic, mc, pc, kc);
                     macro_kernel(
                         ap, bp, c, ic, mc, jc, nc, n, kc, i0, row_init, false, first, fma,
@@ -1329,7 +1243,6 @@ fn gemm_blocked_pb(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selector::with_autotune_off;
     use crate::threadpool::with_thread_cap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1401,61 +1314,60 @@ mod tests {
 
     #[test]
     fn all_blocked_schedules_are_bitwise_equal() {
-        // The autotuner's freedom rests on this: (MC, NC) and the parallel
-        // hint reorder tile traversal but never the per-element k-order, so
-        // every blocked schedule of a shape must produce identical bits.
+        // The parallel hint reorders tile traversal but never the
+        // per-element k-order, so the serial and row-split blocked
+        // schedules of a shape must produce identical bits.
         let mut rng = StdRng::seed_from_u64(77);
         for &(m, k, n) in &[(33usize, 65usize, 17usize), (65, 255, 63), (128, 128, 128)] {
             let a = fill(m * k, &mut rng);
             let b = fill(k * n, &mut rng);
-            let mut reference = vec![0.0f32; m * n];
-            run_gemm_variant(
-                Variant {
-                    schedule: Schedule::Blocked {
-                        mc: MC_STD,
-                        nc: NC_STD,
-                    },
-                    parallel: false,
-                },
-                &a,
-                false,
-                &b,
-                false,
-                &mut reference,
-                m,
-                k,
-                n,
-                None,
-                false,
+            let bop = BOperand::Mat {
+                b: &b,
+                trans: false,
+            };
+            let run = |parallel: bool| {
+                let mut c = vec![0.0f32; m * n];
+                let v = Variant {
+                    schedule: Schedule::Blocked,
+                    parallel,
+                };
+                run_variant(v, &a, false, &bop, &mut c, m, k, n, None, false);
+                c
+            };
+            let (serial, split) = (run(false), run(true));
+            assert!(
+                serial
+                    .iter()
+                    .zip(&split)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "({m},{k},{n}) row split diverged"
             );
-            for schedule in [
-                Schedule::Blocked { mc: 32, nc: 64 },
-                Schedule::Blocked { mc: 128, nc: 256 },
-                Schedule::Blocked { mc: 4, nc: 8 },
-            ] {
-                for parallel in [false, true] {
-                    let mut got = vec![0.0f32; m * n];
-                    run_gemm_variant(
-                        Variant { schedule, parallel },
-                        &a,
-                        false,
-                        &b,
-                        false,
-                        &mut got,
-                        m,
-                        k,
-                        n,
-                        None,
-                        false,
-                    );
-                    assert!(
-                        got.iter()
-                            .zip(&reference)
-                            .all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "({m},{k},{n}) {schedule:?} par={parallel} diverged"
-                    );
-                }
-            }
+        }
+    }
+
+    #[test]
+    fn static_rules_switch_at_their_thresholds() {
+        // (m, k, n) -> (schedule, parallel), each pair straddling a cutoff.
+        let gemm_cases = [
+            ((4095, 1, 1), Schedule::Direct, false),
+            ((4096, 1, 1), Schedule::Blocked, false),
+            ((131071, 1, 1), Schedule::Blocked, false),
+            ((131072, 1, 1), Schedule::Blocked, true),
+        ];
+        for ((m, k, n), schedule, parallel) in gemm_cases {
+            assert_eq!(
+                variant(m, k, n),
+                Variant { schedule, parallel },
+                "gemm {m}x{k}x{n}"
+            );
+        }
+        // (c, taps, plane) -> row-strip?
+        for ((c, taps, plane), strip) in [((4095, 1, 1), false), ((4096, 1, 1), true)] {
+            assert_eq!(
+                crate::depthwise::row_strip(c, taps, plane),
+                strip,
+                "depthwise {c}x{taps}x{plane}"
+            );
         }
     }
 
@@ -1763,49 +1675,47 @@ mod tests {
             };
             let (k, n) = (im.rows(), im.cols());
             let cols = materialize(&im);
-            with_autotune_off(|| {
-                let mut implicit = vec![0.0f32; c_out * n];
-                gemm_conv_batch(&ws, &im, &x, &mut implicit, c_out, Some(&bias));
-                let mut explicit = vec![0.0f32; c_out * n];
-                gemm(
-                    &ws,
-                    false,
-                    &cols,
-                    false,
-                    &mut explicit,
-                    c_out,
-                    k,
-                    n,
-                    Some(&bias),
-                    false,
-                );
-                assert!(
-                    implicit
-                        .iter()
-                        .zip(&explicit)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "co={c_out} ci={c_in} k={ks} s={stride} p={pad}: implicit != explicit"
-                );
-                // Prepacked-weight implicit path, with a fused epilogue.
-                let pa = PackedA::pack(&ws, false, c_out, k);
-                let mut packed = vec![0.0f32; c_out * n];
-                gemm_conv_packed(
-                    &pa,
-                    &im,
-                    &mut packed,
-                    Some(&bias),
-                    Epilogue::Relu { alpha: 0.0 },
-                );
-                let mut reference = explicit.clone();
-                crate::eltwise::relu_decay_slice(&mut reference, 0.0);
-                assert!(
-                    packed
-                        .iter()
-                        .zip(&reference)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "co={c_out} ci={c_in} k={ks}: packed implicit != explicit + act"
-                );
-            });
+            let mut implicit = vec![0.0f32; c_out * n];
+            gemm_conv_batch(&ws, &im, &x, &mut implicit, c_out, Some(&bias));
+            let mut explicit = vec![0.0f32; c_out * n];
+            gemm(
+                &ws,
+                false,
+                &cols,
+                false,
+                &mut explicit,
+                c_out,
+                k,
+                n,
+                Some(&bias),
+                false,
+            );
+            assert!(
+                implicit
+                    .iter()
+                    .zip(&explicit)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "co={c_out} ci={c_in} k={ks} s={stride} p={pad}: implicit != explicit"
+            );
+            // Prepacked-weight implicit path, with a fused epilogue.
+            let pa = PackedA::pack(&ws, false, c_out, k);
+            let mut packed = vec![0.0f32; c_out * n];
+            gemm_conv_packed(
+                &pa,
+                &im,
+                &mut packed,
+                Some(&bias),
+                Epilogue::Relu { alpha: 0.0 },
+            );
+            let mut reference = explicit.clone();
+            crate::eltwise::relu_decay_slice(&mut reference, 0.0);
+            assert!(
+                packed
+                    .iter()
+                    .zip(&reference)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "co={c_out} ci={c_in} k={ks}: packed implicit != explicit + act"
+            );
         }
     }
 }

@@ -21,11 +21,10 @@
 //! 4x8 register-tile microkernel over `MC x KC` packed A blocks and
 //! `KC x NC` packed B strips, with transposed operands handled at pack time
 //! so `matmul`, `matmul_nt`, and `matmul_tn` share one kernel. Which
-//! schedule runs for a given shape — direct loops or the blocked kernel
-//! with a concrete `(MC, NC)` pair, serial or parallel — is chosen by the
-//! shape-keyed [`selector`], which can micro-benchmark candidates once and
-//! persist winners to a JSON cache (`NB_AUTOTUNE=on`; `NB_AUTOTUNE=off`
-//! pins the deterministic default). The convolution *forward* is an
+//! schedule runs for a given shape — direct loops or the blocked kernel,
+//! serial or parallel — is a pure function of the shape
+//! ([`gemm::variant`]), as is the depthwise choice between row-strip SIMD
+//! and scalar ([`depthwise::row_strip`]). The convolution *forward* is an
 //! **implicit GEMM**: the packing loop reads the input image through a
 //! virtual im2col layout, so the `[c_in*kh*kw, ho*wo]` column matrix is
 //! never materialized — only the backward pass still lowers explicitly.
@@ -40,16 +39,15 @@
 //! the first mutation. This is what makes parameter binding on the autograd
 //! tape clone-free. The shared elementwise forward kernels in [`eltwise`]
 //! are the single source of truth for pointwise layer math, so the taped
-//! and grad-free execution paths produce bitwise-identical activations.
+//! and compiled execution paths produce bitwise-identical activations.
 //!
 //! **Determinism:** every GEMM output element is produced by exactly one
 //! thread with a fixed k-accumulation order, so matmul results are bitwise
-//! identical for any thread count — and for any blocked schedule the
-//! selector picks, since the k-panel depth `KC` is never tuned. Convolution
-//! input gradients are per-sample and equally thread-count-invariant, and
-//! depthwise `dw`/`db` are channel-owned (fully width-invariant); the dense
-//! conv `dw`/`db` reductions sum per-chunk partials in a fixed chunk order,
-//! which is deterministic for a given pool width (run-to-run) but may round
+//! identical for any thread count. Convolution input gradients are
+//! per-sample and equally thread-count-invariant, and depthwise `dw`/`db`
+//! are channel-owned (fully width-invariant); the dense conv `dw`/`db`
+//! reductions sum per-chunk partials in a fixed chunk order, which is
+//! deterministic for a given pool width (run-to-run) but may round
 //! differently across widths.
 //!
 //! ## Example
@@ -75,15 +73,14 @@ pub mod gemm;
 mod matmul;
 mod pool;
 pub mod qgemm;
-pub mod selector;
 mod shape;
 mod tensor;
 pub mod threadpool;
 
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_into, conv2d_into_explicit, conv2d_packed_into,
-    conv2d_pointwise_mat_into, depthwise_conv2d, depthwise_conv2d_backward,
-    depthwise_conv2d_fused_into, depthwise_conv2d_into, im2col,
+    col2im, conv2d, conv2d_backward, conv2d_into, conv2d_packed_into, conv2d_pointwise_mat_into,
+    depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_fused_into,
+    depthwise_conv2d_into, im2col,
 };
 pub use depthwise::{
     dw_channel_rows, qdepthwise_conv2d_into, qdw_channel_rows, qdw_channel_rows_requant,
@@ -91,7 +88,7 @@ pub use depthwise::{
 };
 pub use eltwise::Epilogue;
 pub use error::TensorError;
-pub use gemm::{gemm, gemm_a_packed, gemm_b_packed, PackedA, PackedB};
+pub use gemm::{gemm, gemm_a_packed, gemm_b_packed, PackedA, PackedB, Schedule, Variant};
 pub use matmul::{available_threads, matmul_into};
 pub use pool::{
     avgpool2d, avgpool2d_backward, global_avg_pool, global_avg_pool_backward, maxpool2d,
@@ -101,7 +98,6 @@ pub use qgemm::{
     activation_scale, max_abs, qgemm_conv, qgemm_conv_mat, qgemm_conv_mat_requant, qgemm_linear,
     quantize_activations, QIm2colRef, QPackedW, Q_ZERO,
 };
-pub use selector::{with_autotune_off, Schedule, Variant};
 pub use shape::{ConvGeometry, Shape};
 pub use tensor::Tensor;
 pub use threadpool::{num_threads, parallel_for, with_thread_cap};

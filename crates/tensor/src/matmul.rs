@@ -3,13 +3,11 @@
 //! All variants — `matmul`, `matmul_nt`, `matmul_tn`, and the raw
 //! [`matmul_into`] — route through the blocked, packed kernel in
 //! [`crate::gemm`]; transposition is absorbed at pack time, so no transpose
-//! is ever materialized. Which schedule runs for a given `(m, k, n)` is
-//! decided per shape by [`crate::selector`] (deterministic default, or the
-//! persisted autotune cache under `NB_AUTOTUNE=on`). Large problems are
-//! split over row blocks on the persistent worker pool (see
+//! is ever materialized. Which schedule runs for a given `(m, k, n)` is a
+//! pure function of the shape ([`crate::gemm::variant`]). Large problems
+//! are split over row blocks on the persistent worker pool (see
 //! [`crate::threadpool`]); the k-accumulation order per output element is
-//! fixed, so results do not depend on the thread count or on which blocked
-//! schedule the selector picks.
+//! fixed, so results do not depend on the thread count.
 
 use crate::gemm::gemm;
 use crate::Tensor;

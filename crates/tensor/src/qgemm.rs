@@ -29,7 +29,7 @@
 //! the quantization itself, which the `+plan-quant` accuracy budget bounds.
 
 use crate::eltwise::Epilogue;
-use crate::selector::{self, Layout, Op, Schedule, Variant};
+use crate::gemm::{variant, Schedule, Variant};
 use crate::shape::ConvGeometry;
 use crate::threadpool::{self, SharedMut};
 use std::cell::Cell;
@@ -754,12 +754,11 @@ fn qgemm_strips(
     })
 }
 
-/// Runs the quantized GEMM `C = act(dequant(QW · B) + bias)` with a forced
-/// variant — the autotuner's timing hook. `schedule` picks the scalar
-/// (`Direct`) or SIMD (`Blocked`) tile kernel; block geometry is ignored
-/// because the single-level strip walk already fits cache for quantized
-/// operand sizes, and exact integer accumulation makes every choice
-/// bit-identical anyway. The parallel hint column-splits across the pool.
+/// Runs the quantized GEMM `C = act(dequant(QW · B) + bias)` under one
+/// variant. `schedule` picks the scalar (`Direct`) or SIMD (`Blocked`) tile
+/// kernel, and the parallel hint column-splits across the pool. The entry
+/// points pass [`variant`] of the shape; exact integer accumulation makes
+/// every choice bit-identical.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_qgemm_variant(
     variant: Variant,
@@ -901,8 +900,7 @@ pub(crate) fn run_qgemm_variant_requant(
 }
 
 /// Quantized conv forward over a virtual u8 im2col view — the serving-path
-/// kernel behind `CompiledPlan`'s `QConv` actions. Selects its variant under
-/// the `qconv` key namespace.
+/// kernel behind `CompiledPlan`'s `QConv` actions.
 pub fn qgemm_conv(
     wq: &QPackedW,
     qim: &QIm2colRef,
@@ -913,9 +911,9 @@ pub fn qgemm_conv(
 ) {
     assert_eq!(qim.rows(), wq.k, "qgemm_conv operand inner dimension");
     let n = qim.cols();
-    let variant = selector::select(Op::QConv, Layout::NN, wq.m, wq.k, n);
     let bop = QBOperand::Im2col(qim);
-    run_qgemm_variant(variant, wq, &bop, c, n, x_scale, bias, act);
+    let v = variant(wq.m, wq.k, n);
+    run_qgemm_variant(v, wq, &bop, c, n, x_scale, bias, act);
 }
 
 /// Quantized pointwise-conv fast path: a 1x1 stride-1 unpadded conv's column
@@ -931,20 +929,20 @@ pub fn qgemm_conv_mat(
     act: Epilogue,
 ) {
     assert_eq!(qx.len(), wq.k * n, "qgemm_conv_mat operand length");
-    let variant = selector::select(Op::QConv, Layout::NN, wq.m, wq.k, n);
     let bop = QBOperand::Mat {
         b: qx,
         trans: false,
     };
-    run_qgemm_variant(variant, wq, &bop, c, n, x_scale, bias, act);
+    let v = variant(wq.m, wq.k, n);
+    run_qgemm_variant(v, wq, &bop, c, n, x_scale, bias, act);
 }
 
 /// [`qgemm_conv_mat`] that emits its output already quantized with
 /// `out_scale` — for chains where the very next consumer is another int8
 /// kernel (the fused inverted-residual executor's expand stage). The bytes
 /// equal `qgemm_conv_mat` followed by [`quantize_activations`], with the
-/// f32 intermediate and its extra memory pass elided; the variant is
-/// selected under the same `(m, k, n)` key as the f32-out twin.
+/// f32 intermediate and its extra memory pass elided; both run the same
+/// [`variant`].
 #[allow(clippy::too_many_arguments)]
 pub fn qgemm_conv_mat_requant(
     wq: &QPackedW,
@@ -957,12 +955,12 @@ pub fn qgemm_conv_mat_requant(
     out_scale: f32,
 ) {
     assert_eq!(qx.len(), wq.k * n, "qgemm_conv_mat_requant operand length");
-    let variant = selector::select(Op::QConv, Layout::NN, wq.m, wq.k, n);
     let bop = QBOperand::Mat {
         b: qx,
         trans: false,
     };
-    run_qgemm_variant_requant(variant, wq, &bop, c, n, x_scale, bias, act, out_scale);
+    let v = variant(wq.m, wq.k, n);
+    run_qgemm_variant_requant(v, wq, &bop, c, n, x_scale, bias, act, out_scale);
 }
 
 thread_local! {
@@ -990,7 +988,7 @@ pub fn qgemm_linear(
     if rows == 0 || out_f == 0 {
         return;
     }
-    let variant = selector::select(Op::QGemm, Layout::NN, out_f, in_f, rows);
+    let v = variant(out_f, in_f, rows);
     QGEMM_LINEAR_CT.with(|cell| {
         let mut ct = cell.take();
         if ct.len() < out_f * rows {
@@ -998,7 +996,7 @@ pub fn qgemm_linear(
         }
         let bop = QBOperand::Mat { b: qx, trans: true };
         run_qgemm_variant(
-            variant,
+            v,
             wq,
             &bop,
             &mut ct[..out_f * rows],
@@ -1093,7 +1091,7 @@ mod tests {
                 c
             };
             let direct = run(Schedule::Direct);
-            let blocked = run(Schedule::Blocked { mc: 64, nc: 256 });
+            let blocked = run(Schedule::Blocked);
             assert_eq!(direct, blocked, "scalar vs simd bits at {m}x{k}x{n}");
         }
     }
@@ -1116,7 +1114,7 @@ mod tests {
             };
             run_qgemm_variant(
                 Variant {
-                    schedule: Schedule::Blocked { mc: 64, nc: 256 },
+                    schedule: Schedule::Blocked,
                     parallel: false,
                 },
                 &wq,
@@ -1150,7 +1148,7 @@ mod tests {
         };
         run_qgemm_variant(
             Variant {
-                schedule: Schedule::Blocked { mc: 64, nc: 256 },
+                schedule: Schedule::Blocked,
                 parallel: false,
             },
             &wq,
@@ -1216,7 +1214,7 @@ mod tests {
             let mut c = vec![0.0f32; 4 * n];
             run_qgemm_variant(
                 Variant {
-                    schedule: Schedule::Blocked { mc: 64, nc: 256 },
+                    schedule: Schedule::Blocked,
                     parallel: false,
                 },
                 &wq,
@@ -1289,7 +1287,7 @@ mod tests {
             };
             run_qgemm_variant(
                 Variant {
-                    schedule: Schedule::Blocked { mc: 64, nc: 256 },
+                    schedule: Schedule::Blocked,
                     parallel,
                 },
                 &wq,

@@ -154,18 +154,6 @@ fn parse_thread_override(raw: Option<&str>) -> Option<usize> {
     }
 }
 
-/// Full pool width (workers plus the participating caller), ignoring any
-/// active [`with_thread_cap`].
-///
-/// This is the `threads` component of autotune selector keys: it is constant
-/// for the life of the process, so a capped re-run (how the test suite checks
-/// width invariance) still resolves to the same kernel variant and therefore
-/// the same bits. Use [`num_threads`] for deciding how much parallelism to
-/// actually spend.
-pub(crate) fn pool_width() -> usize {
-    pool().workers + 1
-}
-
 /// The number of threads data-parallel kernels may use, including the caller.
 ///
 /// Honors the `NB_NUM_THREADS` override and any active [`with_thread_cap`].
@@ -178,14 +166,19 @@ pub fn num_threads() -> usize {
 }
 
 /// Runs `f` with parallel kernels capped at `cap` threads on this thread.
+/// The previous cap comes back when `f` returns or unwinds.
 ///
 /// Used by tests to compare single-threaded and multi-threaded execution in
 /// one process; `NB_NUM_THREADS` covers the whole-process case.
 pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
-    let prev = THREAD_CAP.with(|c| c.replace(Some(cap)));
-    let result = f();
-    THREAD_CAP.with(|c| c.set(prev));
-    result
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREAD_CAP.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(THREAD_CAP.with(|c| c.replace(Some(cap))));
+    f()
 }
 
 /// Runs `f(0..total)` across the worker pool, returning when all tasks are
@@ -297,11 +290,9 @@ thread_local! {
     pub(crate) static GEMM_PACK_A: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Packed B panels for the blocked GEMM.
     pub(crate) static GEMM_PACK_B: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// Materialized im2col column matrix. The conv *forward* path no longer
-    /// uses this — it reads the input through a virtual im2col view inside
-    /// GEMM packing — so it only backs the backward pass (which reads the
-    /// column matrix twice) and the explicit forward twin kept for the
-    /// differential verification suites.
+    /// Materialized im2col column matrix for the conv backward pass (which
+    /// reads the column matrix twice). The forward reads the input through a
+    /// virtual im2col view inside GEMM packing instead.
     pub(crate) static CONV_COLS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Column-gradient matrix for conv backward.
     pub(crate) static CONV_DCOLS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
@@ -374,6 +365,14 @@ mod tests {
                 assert_eq!(std::thread::current().id(), main);
             });
         });
+    }
+
+    #[test]
+    fn thread_cap_is_restored_on_unwind() {
+        let before = num_threads();
+        let caught = std::panic::catch_unwind(|| with_thread_cap(1, || panic!("inside cap")));
+        assert!(caught.is_err());
+        assert_eq!(num_threads(), before);
     }
 
     #[test]

@@ -205,9 +205,9 @@ proptest! {
         prop_assert!((r.sum() - t.sum()).abs() < 1e-6);
     }
 
-    /// The f32 depthwise kernel (whatever variant the selector picks, AVX2
-    /// included) matches the independent scalar reference bitwise, at
-    /// thread widths 1, 2, and the machine maximum.
+    /// The f32 depthwise kernel (scalar or AVX2 row-strip, whichever
+    /// `row_strip` picks for the shape) matches the independent scalar
+    /// reference bitwise, at thread widths 1, 2, and the machine maximum.
     #[test]
     fn depthwise_matches_reference_across_thread_widths(
         n in 1usize..3, c in 1usize..6, h in 1usize..10, w in 1usize..10,

@@ -21,7 +21,7 @@ fn main() {
     let quant_smoke = std::env::args().any(|a| a == "--quant-smoke");
     if quant_smoke {
         // CI smoke stage: the quantized column alone, pinned to width 1 by
-        // capping the pool (ci.sh also pins NB_AUTOTUNE=off).
+        // capping the pool.
         println!("== nb-verify (quant smoke) ==");
         let quant = nb_tensor::with_thread_cap(1, || run_quant_suite(true));
         println!("[quant] {}", quant.summary_line());
@@ -62,7 +62,8 @@ fn main() {
         }
     }
 
-    // 3. train/eval parity: taped eval vs the grad-free InferCtx, bitwise
+    // 3. train/eval parity: taped eval vs the compiled plan, bitwise with
+    // folding and fusion off, ULP-bounded with folding on
     let parity = run_parity_suite();
     println!("[parity] {}", parity.summary_line());
     if !parity.pass() {

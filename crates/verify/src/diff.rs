@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 /// One comparison outcome: a kernel, a shape/variant, a thread width.
 #[derive(Debug, Clone)]
 pub struct CaseResult {
-    /// Suite name (`gemm`, `conv`, `depthwise`, `pool`, `implicit`).
+    /// Suite name (`gemm`, `conv`, `depthwise`, `pool`).
     pub suite: &'static str,
     /// Human-readable shape/variant description.
     pub case: String,
@@ -468,106 +468,12 @@ pub fn run_pool_suite(fast: bool) -> DiffReport {
     report
 }
 
-/// Sweeps the implicit-GEMM conv forward against the explicit materialized
-/// im2col path, requiring **bitwise identity** at every thread width — the
-/// two executors share one selector key, identical packed panel bytes, and
-/// identical direct-path loop order, so any divergence is a bug, not
-/// rounding. Also checks selector determinism: under forced-off autotuning
-/// every selection must resolve to the shape's deterministic default,
-/// repeatably and independently of the active thread cap.
-pub fn run_implicit_suite(fast: bool) -> DiffReport {
-    let mut shapes: Vec<ConvShape> = vec![
-        (1, 3, 5, 5, 4, 1, 1, 0),   // pointwise
-        (2, 3, 9, 9, 4, 3, 1, 1),   // classic 3x3 same
-        (1, 2, 8, 8, 3, 3, 2, 1),   // strided 3x3
-        (1, 3, 7, 7, 2, 5, 1, 2),   // 5x5 window
-        (1, 2, 10, 10, 4, 5, 2, 2), // strided 5x5
-    ];
-    if !fast {
-        shapes.extend([
-            (2, 8, 6, 6, 16, 1, 1, 0),    // wider pointwise (blocked GEMM)
-            (2, 16, 14, 14, 24, 3, 1, 1), // realistic mid-network block
-            (1, 4, 12, 9, 6, 3, 1, 0),    // non-square, unpadded
-            (3, 4, 10, 10, 6, 5, 1, 2),   // batch of 3, 5x5
-        ]);
-    }
-    let mut report = DiffReport::default();
-    for (si, &(n, c_in, h, w, c_out, k, s, p)) in shapes.iter().enumerate() {
-        for bias in [false, true] {
-            let mut rng = StdRng::seed_from_u64(0x1139 ^ ((si * 2 + bias as usize) as u64));
-            let geom = ConvGeometry::square(k, s, p);
-            let x = uniform_tensor(&mut rng, &[n, c_in, h, w]);
-            let wt = uniform_tensor(&mut rng, &[c_out, c_in, k, k]);
-            let b = uniform_tensor(&mut rng, &[c_out]);
-            let bref = bias.then_some(&b);
-            let (ho, wo) = geom.output_hw(h, w);
-            let case = format!(
-                "n{n} c{c_in}->{c_out} {h}x{w} k{k} s{s} p{p} bias={}",
-                bias as u8
-            );
-            for cap in thread_widths() {
-                let (implicit, explicit) = nt::with_thread_cap(cap, || {
-                    let mut implicit = vec![0.0f32; n * c_out * ho * wo];
-                    nt::conv2d_into(&x, &wt, bref, geom, &mut implicit);
-                    let mut explicit = vec![0.0f32; n * c_out * ho * wo];
-                    nt::conv2d_into_explicit(&x, &wt, bref, geom, &mut explicit);
-                    (implicit, explicit)
-                });
-                report.compare(
-                    "implicit",
-                    format!("{case} fwd [bitwise vs explicit]"),
-                    cap,
-                    &implicit,
-                    &explicit,
-                    &UlpTolerance::exact(),
-                );
-            }
-        }
-        // Selector determinism: forced-off selection is a pure function of
-        // the shape — identical across repeated calls and thread caps.
-        let (m, kk, nn) = (c_out, c_in * k * k, {
-            let geom = ConvGeometry::square(k, s, p);
-            let (ho, wo) = geom.output_hw(h, w);
-            ho * wo
-        });
-        let expected = nt::selector::default_variant(m, kk, nn);
-        let mut stable = true;
-        for cap in thread_widths() {
-            nt::with_thread_cap(cap, || {
-                nt::with_autotune_off(|| {
-                    for _ in 0..3 {
-                        let v = nt::selector::select(
-                            nt::selector::Op::Conv,
-                            nt::selector::Layout::NN,
-                            m,
-                            kk,
-                            nn,
-                        );
-                        stable &= v == expected;
-                    }
-                });
-            });
-        }
-        report.cases.push(CaseResult {
-            suite: "implicit",
-            case: format!("selector m{m} k{kk} n{nn} [deterministic off-mode]"),
-            threads: 0,
-            max_ulps: if stable { 0 } else { 1 },
-            max_abs: 0.0,
-            limit_ulps: 0,
-            pass: stable,
-        });
-    }
-    report
-}
-
 /// Runs every differential suite and merges the reports.
 pub fn run_all_suites(fast: bool) -> DiffReport {
     let mut report = run_gemm_suite(fast);
     report.merge(run_conv_suite(fast));
     report.merge(run_depthwise_suite(fast));
     report.merge(run_pool_suite(fast));
-    report.merge(run_implicit_suite(fast));
     report
 }
 
@@ -585,13 +491,6 @@ mod tests {
     #[test]
     fn pool_suite_fast_passes() {
         let r = run_pool_suite(true);
-        assert!(r.pass(), "{}", r.render_failures());
-    }
-
-    #[test]
-    fn implicit_suite_fast_passes() {
-        let r = run_implicit_suite(true);
-        assert!(!r.cases.is_empty());
         assert!(r.pass(), "{}", r.render_failures());
     }
 

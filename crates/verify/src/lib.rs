@@ -17,9 +17,9 @@
 //!    updating), contract, and assert the giant and the contracted tiny
 //!    network agree — per layer and end to end.
 //! 3. **Train/eval parity** ([`parity`]) — the taped eval path and the
-//!    grad-free [`InferCtx`](nb_nn::InferCtx) must produce *bitwise*
+//!    compiled plan with folding and fusion off must produce *bitwise*
 //!    identical logits for every model family at every worker-pool width,
-//!    with zero graph nodes allocated on the grad-free side.
+//!    with zero graph nodes allocated by the plan.
 //! 4. **Quantized-plan parity** ([`quant`]) — the int8 compiled plan
 //!    (`CompiledPlan::compile_quantized`) is lossy by design, so it is held
 //!    to a top-1 **accuracy-drop budget** ([`tolerance::AccuracyBudget`])

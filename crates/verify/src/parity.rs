@@ -1,24 +1,24 @@
-//! Train/eval parity: the taped eval path against the grad-free
-//! [`InferCtx`] and the compiled [`CompiledPlan`].
+//! Train/eval parity: the taped eval path against the compiled
+//! [`CompiledPlan`].
 //!
-//! The executors behind [`Forward`] share every pointwise and
-//! convolution kernel, and those kernels are bitwise thread-count
-//! invariant, so for any fixed worker-pool width the eval-mode tape, the
-//! grad-free context, and the unfolded compiled plan must produce *bitwise
-//! identical* outputs — not merely close ones. Prepacking and epilogue
-//! fusion preserve bits by construction; batch-norm folding does not (it
-//! reassociates the per-channel scale into each multiply-accumulate), so
-//! the folded plan is held to a ULP bound from [`crate::tolerance`]
-//! instead. The suite runs every model family the repo evaluates — the
-//! tiny classifier, the expanded deep giant, the width-sliced NetAug
-//! subnet, and the detection grid head — at worker widths 1 and the full
-//! pool, and additionally requires that every grad-free forward allocates
-//! **zero** autograd graph nodes (the point of the split execution path).
+//! The two executors share every pointwise and convolution kernel, and
+//! those kernels are bitwise thread-count invariant, so for any fixed
+//! worker-pool width the eval-mode tape and the compiled plan with folding
+//! and chain fusion off must produce *bitwise identical* outputs — not
+//! merely close ones. Prepacking and epilogue fusion preserve bits by
+//! construction; batch-norm folding does not (it reassociates the
+//! per-channel scale into each multiply-accumulate), so the folded plan is
+//! held to a ULP bound from [`crate::tolerance`] instead. The suite runs
+//! every model family the repo evaluates — the tiny classifier, the
+//! expanded deep giant, the width-sliced NetAug subnet, and the detection
+//! grid head — at worker widths 1 and the full pool, and additionally
+//! requires that compiling and running a plan allocates **zero** autograd
+//! graph nodes (the point of the split execution path).
 
 use crate::tolerance::{Divergence, UlpTolerance};
 use nb_autograd::{nodes_allocated, Value};
 use nb_models::{mobilenet_v2_tiny, DetectorNet, TinyNet};
-use nb_nn::{CompiledPlan, Forward, InferCtx, Module, PlanOptions, Session};
+use nb_nn::{CompiledPlan, Forward, Module, PlanOptions, Session};
 use nb_tensor::{self as nt, Tensor};
 use netbooster_core::{expand, ExpansionPlan};
 use rand::rngs::StdRng;
@@ -41,7 +41,7 @@ pub struct ParityCase {
     pub max_abs: f32,
     /// Whether the outputs were bitwise identical.
     pub bitwise: bool,
-    /// Graph nodes allocated by the grad-free forward (must be 0).
+    /// Graph nodes allocated by compiling and running the plan (must be 0).
     pub graph_nodes: usize,
     /// Whether the case passed.
     pub pass: bool,
@@ -87,7 +87,8 @@ impl ParityReport {
     }
 }
 
-/// Runs one forward on all three executors at each width and records the cases.
+/// Runs one forward on the tape and on both plan columns at each width
+/// and records the cases.
 fn run_case(
     report: &mut ParityReport,
     name: &str,
@@ -104,32 +105,11 @@ fn run_case(
             let y = fwd(&mut s, xv);
             let want = s.value(y).clone();
             drop(s);
-            // candidate: the grad-free executor, with the node counter
-            // bracketing the forward to prove no tape was grown
-            let before = nodes_allocated();
-            let mut ctx = InferCtx::new();
-            let xv = ctx.input(x.clone());
-            let y = fwd(&mut ctx, xv);
-            let got = ctx.take(y);
-            let graph_nodes = nodes_allocated() - before;
-            let bitwise = got.dims() == want.dims() && got.as_slice() == want.as_slice();
-            let max_abs = if got.dims() == want.dims() {
-                got.max_abs_diff(&want)
-            } else {
-                f32::INFINITY
-            };
-            report.cases.push(ParityCase {
-                case: name.to_string(),
-                threads,
-                max_abs,
-                bitwise,
-                graph_nodes,
-                pass: bitwise && graph_nodes == 0,
-            });
 
-            // candidate 2: the compiled plan with folding and chain fusion
-            // off — prepacking and epilogue fusion alone must preserve bits
-            // vs InferCtx
+            // candidate 1: the compiled plan with folding and chain fusion
+            // off — prepacking and epilogue fusion alone must preserve bits,
+            // with the node counter bracketing compile and run to prove no
+            // tape was grown
             let before = nodes_allocated();
             let plan = CompiledPlan::compile_with(
                 x.dims(),
@@ -140,32 +120,31 @@ fn run_case(
                 },
                 |f, v| fwd(f, v),
             );
-            let plan_got = plan.run(x);
+            let got = plan.run(x);
             let plan_nodes = nodes_allocated() - before;
-            let plan_bitwise =
-                plan_got.dims() == got.dims() && plan_got.as_slice() == got.as_slice();
+            let bitwise = got.dims() == want.dims() && got.as_slice() == want.as_slice();
             report.cases.push(ParityCase {
                 case: format!("{name}+plan"),
                 threads,
-                max_abs: if plan_got.dims() == got.dims() {
-                    plan_got.max_abs_diff(&got)
+                max_abs: if got.dims() == want.dims() {
+                    got.max_abs_diff(&want)
                 } else {
                     f32::INFINITY
                 },
-                bitwise: plan_bitwise,
+                bitwise,
                 graph_nodes: plan_nodes,
-                pass: plan_bitwise && plan_nodes == 0,
+                pass: bitwise && plan_nodes == 0,
             });
 
-            // candidate 3: the folded plan — batch-norm folding
+            // candidate 2: the folded plan — batch-norm folding
             // reassociates, so the comparison is ULP-bounded
             let before = nodes_allocated();
             let folded = CompiledPlan::compile(x.dims(), |f, v| fwd(f, v));
             let folded_got = folded.run(x);
             let folded_nodes = nodes_allocated() - before;
             let tol = UlpTolerance::for_reduction(FOLD_REDUCTION_K);
-            let (fold_pass, fold_max_abs) = if folded_got.dims() == got.dims() {
-                let div = Divergence::measure(folded_got.as_slice(), got.as_slice(), &tol);
+            let (fold_pass, fold_max_abs) = if folded_got.dims() == want.dims() {
+                let div = Divergence::measure(folded_got.as_slice(), want.as_slice(), &tol);
                 (div.passes(), div.max_abs)
             } else {
                 (false, f32::INFINITY)
@@ -174,7 +153,8 @@ fn run_case(
                 case: format!("{name}+plan-fold"),
                 threads,
                 max_abs: fold_max_abs,
-                bitwise: folded_got.dims() == got.dims() && folded_got.as_slice() == got.as_slice(),
+                bitwise: folded_got.dims() == want.dims()
+                    && folded_got.as_slice() == want.as_slice(),
                 graph_nodes: folded_nodes,
                 pass: fold_pass && folded_nodes == 0,
             });
@@ -182,9 +162,9 @@ fn run_case(
     }
 }
 
-/// Logits parity (bitwise for InferCtx and the unfolded plan, ULP-bounded
-/// for the folded plan) for every model family, at worker widths 1 and
-/// the full pool.
+/// Logits parity against taped eval (bitwise for the unfolded plan,
+/// ULP-bounded for the folded plan) for every model family, at worker
+/// widths 1 and the full pool.
 pub fn run_parity_suite() -> ParityReport {
     let mut report = ParityReport::default();
     let mut rng = StdRng::seed_from_u64(7);
@@ -225,9 +205,9 @@ mod tests {
     #[test]
     fn parity_suite_passes() {
         let report = run_parity_suite();
-        // 4 families x 3 executor columns x {1, full-pool} widths
+        // 4 families x 2 plan columns x {1, full-pool} widths
         // (width set collapsing when the pool is 1)
-        assert!(report.cases.len() >= 12, "{}", report.cases.len());
+        assert!(report.cases.len() >= 8, "{}", report.cases.len());
         assert!(report.pass(), "{}", report.render_failures());
         // the fold-off plan column must be bitwise, not merely within
         // tolerance

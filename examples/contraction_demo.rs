@@ -28,12 +28,12 @@ fn main() {
         for s in block.slopes() {
             s.set(alpha);
         }
-        let mut ctx = InferCtx::new();
-        let xin = ctx.input(x.clone());
-        let y = block.forward(&mut ctx, xin);
+        let mut s = Session::new(false);
+        let xin = s.input(x.clone());
+        let y = block.forward(&mut s, xin);
         println!(
             "alpha = {alpha:.1}: output mean {:+.4}, linearized = {}",
-            ctx.value(y).mean(),
+            s.value(y).mean(),
             block.is_linearized()
         );
     }
@@ -49,14 +49,12 @@ fn main() {
         block.flops(16, 16) / conv.flops(16, 16).max(1)
     );
 
-    let mut ctx = InferCtx::new();
-    let xin = ctx.input(x.clone());
-    let want = block.forward(&mut ctx, xin);
-    let want = ctx.take(want);
-    let mut ctx2 = InferCtx::new();
-    let xin2 = ctx2.input(x);
-    let got = conv.forward(&mut ctx2, xin2);
-    let diff = ctx2.value(got).max_abs_diff(&want);
+    let mut s = Session::new(false);
+    let xin = s.input(x.clone());
+    let want = block.forward(&mut s, xin);
+    let xin2 = s.input(x);
+    let got = conv.forward(&mut s, xin2);
+    let diff = s.value(got).max_abs_diff(s.value(want));
     println!("max |contracted - linearized block| = {diff:.2e} (exact up to fp rounding)");
     assert!(diff < 1e-3);
 }

@@ -2,9 +2,9 @@
 # One entry point for every benchmark binary, in full (non-smoke) mode:
 # refreshes all four checked-in BENCH_*.json files at the repo root and
 # exits non-zero if any binary's perf gate fails (each gates its own
-# claims — kernel ns/op regressions, plan-vs-InferCtx time and peak bytes,
-# the 2x int8 gate on GEMM-bound rows, serve tail latency and drain,
-# dp(max)-vs-dp(1) training throughput).
+# claims — kernel ns/op regressions, plan-vs-tape peak bytes, the 2x int8
+# gate on GEMM-bound rows, serve tail latency and drain, dp(max)-vs-dp(1)
+# training throughput).
 #
 # Run it before and after a perf-relevant change and diff the JSON files.
 # Pin the pool width with NB_NUM_THREADS for stable numbers; full runs

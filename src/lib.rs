@@ -74,7 +74,7 @@ pub mod prelude {
         mcunet_like, mobilenet_v2_100, mobilenet_v2_35, mobilenet_v2_50, mobilenet_v2_tiny,
         summarize, DetectorNet, TinyNet, TnnConfig,
     };
-    pub use nb_nn::{Forward, InferCtx, Module, Parameter, Session, StateDict};
+    pub use nb_nn::{Forward, Module, Parameter, Session, StateDict};
     pub use nb_optim::{CosineAnneal, LrSchedule, Sgd, SgdConfig};
     pub use nb_tensor::{ConvGeometry, Shape, Tensor};
     pub use netbooster_core::{
