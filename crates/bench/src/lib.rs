@@ -2,9 +2,10 @@
 //! table and figure of the paper.
 //!
 //! Each binary reads the run scale from the `NB_SCALE` environment variable
-//! (`smoke` | `bench` (default) | `full`); the scale controls dataset sizes
-//! (via [`nb_data::Scale`]) and epoch budgets (via [`epochs`]). The paper's
-//! 160/40/110 epoch split for giant/PLT/finetune is preserved as a ratio.
+//! (`smoke` | `bench` (default) | `full`, anything else is rejected); the
+//! scale controls dataset sizes (via [`nb_data::Scale`]) and epoch budgets
+//! (via [`epochs`]). The paper's 160/40/110 epoch split for
+//! giant/PLT/finetune is preserved as a ratio.
 
 #![warn(missing_docs)]
 
@@ -15,11 +16,25 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Reads the run scale from `NB_SCALE` (default `bench`).
+///
+/// # Panics
+///
+/// Panics on any value other than `smoke`, `bench` or `full`.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("NB_SCALE").as_deref() {
-        Ok("smoke") => Scale::Smoke,
-        Ok("full") => Scale::Full,
-        _ => Scale::Bench,
+    parse_scale(std::env::var("NB_SCALE").ok().as_deref())
+}
+
+/// Parses an `NB_SCALE` value. `None` (unset) is `bench`; a typo silently
+/// falling back to `bench` would label a run with a scale it did not use.
+fn parse_scale(raw: Option<&str>) -> Scale {
+    match raw.map(str::trim) {
+        None | Some("bench") => Scale::Bench,
+        Some("smoke") => Scale::Smoke,
+        Some("full") => Scale::Full,
+        Some(other) => panic!(
+            "NB_SCALE must be one of smoke|bench|full, got {other:?} \
+             (unset it for bench)"
+        ),
     }
 }
 
@@ -126,6 +141,25 @@ pub fn announce(what: &str, scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_parses_the_three_presets() {
+        for (raw, scale) in [
+            (None, Scale::Bench),
+            (Some("smoke"), Scale::Smoke),
+            (Some("bench"), Scale::Bench),
+            (Some("full"), Scale::Full),
+            (Some(" full "), Scale::Full),
+        ] {
+            assert_eq!(parse_scale(raw), scale, "NB_SCALE={raw:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NB_SCALE must be one of smoke|bench|full, got \"ful\"")]
+    fn scale_rejects_typos() {
+        parse_scale(Some("ful"));
+    }
 
     #[test]
     fn epoch_presets_ordered() {

@@ -104,8 +104,8 @@ impl SweepReport {
     }
 }
 
-/// Runs `run` once per seed and judges the returned metrics against
-/// `criterion`. The closure owns everything seed-dependent: model init,
+/// Runs `run` once per seed and judges the returned metrics against the
+/// sweep criterion. The closure owns everything seed-dependent: model init,
 /// data shuffling, augmentation.
 pub fn seed_sweep(
     seeds: &[u64],

@@ -62,15 +62,10 @@ use nb_tensor::{
 };
 
 /// Number of calibration batches [`CompiledPlan::compile_quantized`] callers
-/// should draw, from `NB_QUANT_CALIB` (default 4). The plan itself accepts
-/// whatever slice it is given; this helper just centralizes the knob so
-/// verify, bench, and ci read the same value.
+/// should draw. The plan itself accepts whatever slice it is given; this
+/// constant keeps verify and the benchmark on the same count.
 pub fn quant_calib_batches() -> usize {
-    std::env::var("NB_QUANT_CALIB")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4)
+    4
 }
 
 /// Which eligible layers [`CompiledPlan::compile_quantized`] lowers to int8.
@@ -2684,14 +2679,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(36);
         let model = conv_model(&mut rng);
         let _ = CompiledPlan::compile_quantized(&[1, 3, 8, 8], &[], |f, v| model.forward(f, v));
-    }
-
-    #[test]
-    fn quant_calib_batches_default() {
-        // The knob is read per call; without the env var it is 4.
-        if std::env::var("NB_QUANT_CALIB").is_err() {
-            assert_eq!(quant_calib_batches(), 4);
-        }
     }
 
     /// Satellite coverage for random fold configurations without proptest:

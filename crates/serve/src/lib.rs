@@ -17,7 +17,7 @@
 //! - [`server`]: the request queue, dynamic batching policy, worker pool,
 //!   and the accepted-implies-answered shutdown/drain contract.
 //! - [`traffic`]: seeded open-loop Poisson/bursty arrival schedules for
-//!   honest tail-latency measurement (`bench_serve`).
+//!   honest tail-latency measurement (nbbench's `serve-steady` workload).
 
 pub mod batcher;
 pub mod cache;

@@ -25,17 +25,27 @@
 //! finished, so borrows captured by the closure stay valid. Calls from inside
 //! a worker (nested parallelism, e.g. a matmul inside a conv sample task) run
 //! inline on that worker rather than deadlocking on the queue.
+//!
+//! A task that panics does not end the job early: the panic is caught on
+//! whichever thread ran the task, the remaining tasks still run, and the
+//! caller re-raises the first panic once every task is done. Workers survive
+//! the panic, so the pool keeps its width.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Erased pointer to the per-task closure of a running job.
 ///
-/// Safety: the owning [`parallel_for`] call does not return until every task
-/// has completed, so the pointee outlives every dereference; workers that pop
-/// a job after its tasks are exhausted never dereference the pointer.
+/// Safety: the owning [`parallel_for`] call neither returns nor unwinds
+/// until every task has completed, so the pointee outlives every
+/// dereference. That holds when a task panics too: [`JobState::participate`]
+/// catches the panic, counts the task as done, and the caller re-raises it
+/// only after the wait on `finished`. Workers that pop a job after its tasks
+/// are exhausted never dereference the pointer.
 #[derive(Clone, Copy)]
 struct TaskFn(*const (dyn Fn(usize) + Sync));
 unsafe impl Send for TaskFn {}
@@ -48,8 +58,19 @@ struct JobState {
     /// Number of completed tasks.
     done: AtomicUsize,
     total: usize,
-    finished: Mutex<bool>,
+    end: Mutex<JobEnd>,
     cv: Condvar,
+}
+
+const END_LOCK: &str = "JobState::end is never held across a panic";
+
+/// What the caller of [`parallel_for`] waits for, under one lock.
+#[derive(Default)]
+struct JobEnd {
+    /// Set once `done == total`.
+    finished: bool,
+    /// The first panic payload any task raised.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 impl JobState {
@@ -62,12 +83,20 @@ impl JobState {
             }
             // Safety: i < total, so the job is still live (see `TaskFn`).
             let f = unsafe { &*self.task.0 };
-            f(i);
+            // The caller re-raises the payload, so it observes the panic
+            // exactly as if the task had run inline.
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
+                self.end
+                    .lock()
+                    .expect(END_LOCK)
+                    .panic
+                    .get_or_insert(payload);
+            }
             // AcqRel chains every task's writes into the final increment, so
             // the thread that observes `done == total` (and the caller it
             // wakes) sees all output writes.
             if self.done.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-                *self.finished.lock().unwrap() = true;
+                self.end.lock().expect(END_LOCK).finished = true;
                 self.cv.notify_all();
             }
         }
@@ -185,6 +214,11 @@ pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
 /// done. Tasks must be independent; each should write only its own output
 /// region. Runs inline when the pool width is 1, the cap is 1, `total <= 1`,
 /// or when called from inside a pool worker (nested parallelism).
+///
+/// # Panics
+///
+/// If a task panics, the other tasks still run; once all are done the first
+/// panic is resumed on the caller.
 pub fn parallel_for(total: usize, f: &(dyn Fn(usize) + Sync)) {
     if total == 0 {
         return;
@@ -197,7 +231,8 @@ pub fn parallel_for(total: usize, f: &(dyn Fn(usize) + Sync)) {
         }
         return;
     }
-    // Safety: we block on `finished` below, so `f` outlives the job.
+    // Safety: we block on `finished` below, even when a task panics, so `f`
+    // outlives the job.
     let task = TaskFn(unsafe {
         std::mem::transmute::<*const (dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(
             f as *const (dyn Fn(usize) + Sync),
@@ -208,7 +243,7 @@ pub fn parallel_for(total: usize, f: &(dyn Fn(usize) + Sync)) {
         next: AtomicUsize::new(0),
         done: AtomicUsize::new(0),
         total,
-        finished: Mutex::new(false),
+        end: Mutex::new(JobEnd::default()),
         cv: Condvar::new(),
     });
     let helpers = pool.workers.min(width - 1).min(total - 1);
@@ -222,9 +257,13 @@ pub fn parallel_for(total: usize, f: &(dyn Fn(usize) + Sync)) {
         pool.shared.cv.notify_one();
     }
     job.participate();
-    let mut finished = job.finished.lock().unwrap();
-    while !*finished {
-        finished = job.cv.wait(finished).unwrap();
+    let mut end = job.end.lock().expect(END_LOCK);
+    while !end.finished {
+        end = job.cv.wait(end).expect(END_LOCK);
+    }
+    if let Some(payload) = end.panic.take() {
+        drop(end);
+        panic::resume_unwind(payload);
     }
 }
 
@@ -303,7 +342,118 @@ thread_local! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicBool, AtomicU32};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    /// Runs `f`, aborting the process if it has not returned (or unwound)
+    /// within `secs`, so a hung pool fails loudly instead of hanging the
+    /// test binary.
+    fn with_watchdog<R>(secs: u64, f: impl FnOnce() -> R) -> R {
+        std::thread::scope(|s| {
+            let (disarm, armed) = mpsc::channel::<()>();
+            s.spawn(move || {
+                if let Err(mpsc::RecvTimeoutError::Timeout) =
+                    armed.recv_timeout(Duration::from_secs(secs))
+                {
+                    eprintln!("watchdog: parallel_for exceeded {secs}s");
+                    std::process::abort();
+                }
+            });
+            let out = f();
+            drop(disarm);
+            out
+        })
+    }
+
+    fn on_helper() -> bool {
+        IN_WORKER.with(|w| w.get())
+    }
+
+    /// Spins until `flag` is set or `limit` passes.
+    fn wait_for(flag: &AtomicBool, limit: Duration) {
+        let start = Instant::now();
+        while !flag.load(Ordering::Acquire) && start.elapsed() < limit {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Runs 64 tasks whose first task on a helper panics; the caller's tasks
+    /// wait for that panic so it is certain to happen on a helper.
+    fn panic_on_helper() -> Box<dyn Any + Send> {
+        let helper_ran = AtomicBool::new(false);
+        let task = |_| {
+            if !on_helper() {
+                wait_for(&helper_ran, Duration::from_secs(5));
+            } else if !helper_ran.swap(true, Ordering::AcqRel) {
+                panic!("helper task");
+            }
+        };
+        panic::catch_unwind(|| parallel_for(64, &task)).expect_err("helper panic was lost")
+    }
+
+    #[test]
+    fn helper_panic_reaches_the_caller() {
+        if num_threads() < 2 {
+            return;
+        }
+        let payload = with_watchdog(10, panic_on_helper);
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper task"));
+    }
+
+    #[test]
+    fn caller_panic_waits_for_every_other_task() {
+        if num_threads() < 2 {
+            return;
+        }
+        let started = AtomicU32::new(0);
+        let finished = AtomicU32::new(0);
+        let helper_started = AtomicBool::new(false);
+        let caller_panicked = AtomicBool::new(false);
+        let task = |_| {
+            if on_helper() {
+                started.fetch_add(1, Ordering::SeqCst);
+                helper_started.store(true, Ordering::Release);
+                // Keeps the task in flight while the caller panics.
+                std::thread::sleep(Duration::from_millis(20));
+                finished.fetch_add(1, Ordering::SeqCst);
+            } else if !caller_panicked.swap(true, Ordering::AcqRel) {
+                wait_for(&helper_started, Duration::from_secs(5));
+                panic!("caller task");
+            }
+        };
+        let caught = with_watchdog(10, || panic::catch_unwind(|| parallel_for(64, &task)));
+        let payload = caught.expect_err("caller panic was swallowed");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller task"));
+        let (started, finished) = (
+            started.load(Ordering::SeqCst),
+            finished.load(Ordering::SeqCst),
+        );
+        assert!(started > 0, "no task ran on a helper");
+        assert_eq!(
+            finished, started,
+            "returned while helper tasks were still running"
+        );
+    }
+
+    #[test]
+    fn pool_keeps_its_helpers_after_a_panic() {
+        if num_threads() < 2 {
+            return;
+        }
+        with_watchdog(10, || {
+            panic_on_helper();
+            let helper_ran = AtomicBool::new(false);
+            parallel_for(64, &|_| {
+                if on_helper() {
+                    helper_ran.store(true, Ordering::Release);
+                } else {
+                    wait_for(&helper_ran, Duration::from_secs(5));
+                }
+            });
+            assert!(helper_ran.load(Ordering::Acquire), "no helper ran a task");
+        });
+    }
 
     #[test]
     fn thread_override_parses_positive_integers() {

@@ -125,8 +125,7 @@ pub fn run_quant_suite(fast: bool) -> QuantReport {
         &mut NoHooks,
     );
 
-    // Calibration batches from the training split (the conventional count;
-    // see `NB_QUANT_CALIB`).
+    // Calibration batches from the training split (the conventional count).
     let loader = DataLoader::new(&data.train, cfg.batch_size);
     let calib: Vec<Tensor> = loader
         .epoch(0)
