@@ -10,9 +10,9 @@ use nb_nn::layers::Slope;
 
 /// The shape of the decay trajectory `alpha(progress)`.
 ///
-/// The paper increases `alpha` uniformly per iteration ([`Linear`]
-/// (DecayCurve::Linear)); the other curves are reproduction extensions
-/// ablated by the `ablation_plt` experiment binary.
+/// The paper increases `alpha` uniformly per iteration
+/// ([`Linear`](DecayCurve::Linear)); the other curves are reproduction
+/// extensions ablated by the `ablation_plt` experiment binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DecayCurve {
     /// `alpha = p` — the paper's uniform per-iteration increase.

@@ -228,7 +228,7 @@ impl<D: Dataset + Sync> DataLoader<'static, D> {
 impl<'d, D: Dataset + Sync + Send + 'static> DataLoader<'d, D> {
     /// Streams the batches of `epoch`, overlapping synthesis with the
     /// consumer's compute: shared-source loaders spawn one producer thread
-    /// that runs at most [`PREFETCH_DEPTH`] batches ahead through a bounded
+    /// that runs at most `PREFETCH_DEPTH` batches ahead through a bounded
     /// channel; borrowed-source loaders fall back to inline lazy iteration.
     /// Batch contents and order are identical either way.
     ///

@@ -19,9 +19,10 @@
 //!    format ([`nb_tensor::PackedA`]/[`nb_tensor::PackedB`]) and reused
 //!    across calls. Conv replay then runs as a fully implicit GEMM: the
 //!    prepacked weight multiplies the input through a virtual im2col view,
-//!    so neither GEMM operand touches a scratch matrix at serve time. Each
-//!    GEMM's schedule is a pure function of its shape
-//!    ([`nb_tensor::gemm::variant`]), the same one the taped path runs.
+//!    so neither GEMM operand touches a scratch matrix at serve time. Every
+//!    f32 GEMM runs nb-tensor's one blocked schedule, the same one the taped
+//!    path runs, and the plan keeps only the packed panels, not a second
+//!    copy of the weights.
 //! 4. **Arena** — activation buffers are assigned at compile time by a
 //!    best-fit liveness pass over per-sample sizes, so steady-state runs
 //!    perform no activation allocation and [`peak_bytes`] is a deterministic
@@ -97,10 +98,8 @@ pub struct PlanOptions {
     pub fold_bn: bool,
     /// Fuse pointwise-expand → depthwise → pointwise-project chains into
     /// one strip-tiled action whose intermediates live in thread-local
-    /// scratch instead of the arena. On by default. Quantized fused blocks
-    /// are bitwise identical to their unfused twins; f32 fused blocks are
-    /// ULP-bounded (the strip GEMMs may pick a different schedule than the
-    /// full-plane GEMMs).
+    /// scratch instead of the arena. On by default. Fused blocks, f32 and
+    /// quantized, are bitwise identical to their unfused twins.
     pub fuse: bool,
     /// Which layers quantized compilation lowers to int8 (ignored by f32
     /// compilation). [`QuantPolicy::Auto`] picks per-layer mixed precision
@@ -573,6 +572,38 @@ impl Kernel {
             _ => false,
         }
     }
+
+    /// Heap bytes of the weights and tables this kernel holds.
+    fn bytes(&self) -> usize {
+        let f32s = |t: &Tensor| std::mem::size_of_val(t.as_slice());
+        let bias = |b: &Option<Tensor>| b.as_ref().map_or(0, f32s);
+        match self {
+            Kernel::Conv { wp, bias: b, .. } => wp.bytes() + bias(b),
+            Kernel::Linear { wp, bias: b, .. } => wp.bytes() + bias(b),
+            Kernel::QConv { qw, bias: b, .. } | Kernel::QLinear { qw, bias: b, .. } => {
+                qw.bytes() + bias(b)
+            }
+            Kernel::Depthwise { w, b, .. } => f32s(w) + bias(b),
+            Kernel::QDepthwise { qw, bias: b, .. } => qw.bytes() + bias(b),
+            Kernel::Fused {
+                expand,
+                dw,
+                project,
+            } => expand.bytes() + dw.bytes() + project.bytes(),
+            Kernel::BatchNorm {
+                gamma,
+                beta,
+                mean,
+                invstd,
+            } => f32s(gamma) + f32s(beta) + f32s(mean) + f32s(invstd),
+            Kernel::Relu { .. }
+            | Kernel::Relu6 { .. }
+            | Kernel::MaxPool { .. }
+            | Kernel::AvgPool { .. }
+            | Kernel::Gap
+            | Kernel::Add { .. } => 0,
+        }
+    }
 }
 
 /// How an action obtains its output buffer.
@@ -634,7 +665,6 @@ pub struct CompiledPlan {
     /// quantized actions also account their transient u8 scratch here, in
     /// f32-equivalent units.
     peak_units: usize,
-    packed_bytes: usize,
     /// Largest per-sample u8 count any quantized action needs for its input
     /// scratch (0 for pure-f32 plans).
     qscratch_units: usize,
@@ -846,10 +876,12 @@ impl CompiledPlan {
         self.actions.iter().any(|a| a.kernel.is_quant())
     }
 
-    /// Bytes held by prepacked weight panels (including retained raw
-    /// operands for the small-problem dispatch).
+    /// Bytes of every weight and table the plan's kernels hold: packed
+    /// GEMM panels (f32 or int8, with their scale tables), depthwise taps,
+    /// biases and unfolded batch-norm tables. Activations are not counted;
+    /// see [`CompiledPlan::arena_bytes`].
     pub fn packed_bytes(&self) -> usize {
-        self.packed_bytes
+        self.actions.iter().map(|a| a.kernel.bytes()).sum()
     }
 
     /// Number of executable actions after folding/elision.
@@ -1272,13 +1304,15 @@ fn fused_strip_rows(
 /// strips of depthwise output rows flow through thread-local scratch, so
 /// the two `[E, H, W]` intermediates never round-trip through the arena.
 ///
-/// The quantized variant is **bitwise identical** to its unfused twin:
-/// `quantize_activations` is elementwise (strip-wise quantization produces
-/// the same bytes), the integer GEMM/stencil stages are exact under any
-/// schedule, and the dequant epilogues evaluate the same expression per
-/// element. The f32 variant is ULP-bounded only — the strip-shaped
-/// pointwise GEMMs may select a different schedule than the full-plane
-/// ones. Both are bitwise thread-width invariant.
+/// Both variants are **bitwise identical** to their unfused twins and
+/// bitwise thread-width invariant. In f32, a pointwise GEMM element's bits
+/// depend only on its weight row, its input column and `k`, never on how
+/// many columns the call covers, so a strip's GEMM outputs equal the same
+/// columns of the full-plane GEMM; the depthwise stencil recomputes each
+/// output row from its own input window. In int8, `quantize_activations`
+/// is elementwise (strip-wise quantization produces the same bytes), the
+/// integer GEMM/stencil stages are exact under any schedule, and the
+/// dequant epilogues evaluate the same expression per element.
 fn run_fused(expand: &Kernel, dw: &Kernel, project: &Kernel, xt: &Tensor, out: &mut [f32]) {
     let d = xt.dims();
     let (n, c_in, h, w) = (d[0], d[1], d[2], d[3]);
@@ -1774,7 +1808,6 @@ fn build(
     // --- Pass A: peephole rewrite into actions over canonical value ids ---
     let mut canon: Vec<usize> = (0..nvals).collect();
     let mut actions: Vec<Action> = Vec::new();
-    let mut packed_bytes = 0usize;
     let mut i = 0;
     while i < ops.len() {
         match &ops[i] {
@@ -1839,7 +1872,6 @@ fn build(
                     if let Some(scales) = quant.filter(|_| qpol[i]) {
                         let d = w.dims().to_vec();
                         let qw = QDepthwiseW::pack(w.as_slice(), d[0], d[1], d[2]);
-                        packed_bytes += qw.bytes();
                         Kernel::QDepthwise {
                             qw,
                             x_scale: scales[ai],
@@ -1858,7 +1890,6 @@ fn build(
                 } else if let Some(scales) = quant.filter(|_| qpol[i]) {
                     let d = w.dims().to_vec();
                     let qw = QPackedW::pack(w.as_slice(), d[0], d[1] * d[2] * d[3]);
-                    packed_bytes += qw.bytes();
                     Kernel::QConv {
                         qw,
                         x_scale: scales[ai],
@@ -1869,7 +1900,6 @@ fn build(
                 } else {
                     let d = w.dims().to_vec();
                     let wp = PackedA::pack(w.as_slice(), false, d[0], d[1] * d[2] * d[3]);
-                    packed_bytes += wp.bytes();
                     Kernel::Conv {
                         wp,
                         bias: b,
@@ -1923,7 +1953,6 @@ fn build(
                 let ai = actions.len();
                 let kernel = if let Some(scales) = quant.filter(|_| qpol[i]) {
                     let qw = QPackedW::pack(w.as_slice(), out_f, in_f);
-                    packed_bytes += qw.bytes();
                     Kernel::QLinear {
                         qw,
                         x_scale: scales[ai],
@@ -1934,7 +1963,6 @@ fn build(
                     // y = x W^T: the weight is the logical [in_f, out_f]
                     // right operand stored transposed, matching `matmul_nt`.
                     let wp = PackedB::pack(w.as_slice(), true, in_f, out_f);
-                    packed_bytes += wp.bytes();
                     Kernel::Linear {
                         wp,
                         bias: b.clone(),
@@ -2243,7 +2271,6 @@ fn build(
         val_home,
         home_units,
         peak_units,
-        packed_bytes,
         qscratch_units,
     }
 }
@@ -2295,6 +2322,24 @@ mod tests {
             .push(Activation::new(ActKind::Relu6))
             .push(crate::layers::GlobalAvgPool::new())
             .push(Linear::new(8, 4, true, rng))
+    }
+
+    /// An inverted-residual body with biases: pointwise expand -> relu6
+    /// -> 3x3 depthwise at `stride` -> relu6 -> pointwise project.
+    fn inverted_residual(
+        c_in: usize,
+        e: usize,
+        c_out: usize,
+        stride: usize,
+        rng: &mut StdRng,
+    ) -> Sequential {
+        let dw = ConvGeometry::same(3, stride);
+        Sequential::new()
+            .push(Conv2d::new(c_in, e, ConvGeometry::pointwise(), true, rng))
+            .push(Activation::new(ActKind::Relu6))
+            .push(DepthwiseConv2d::new(e, dw, true, rng))
+            .push(Activation::new(ActKind::Relu6))
+            .push(Conv2d::new(e, c_out, ConvGeometry::pointwise(), true, rng))
     }
 
     /// Taped eval forward: the reference output and the bytes the tape
@@ -2397,6 +2442,40 @@ mod tests {
         );
         assert!(plan.arena_bytes() > 0);
         assert!(plan.packed_bytes() > 0);
+    }
+
+    #[test]
+    fn packed_bytes_charges_every_held_tensor() {
+        // conv 3->8 (3x3, bias) -> bn -> relu -> depthwise 8 (3x3) -> bn
+        // -> relu6 -> gap -> linear 8->4 (bias).
+        let mut rng = StdRng::seed_from_u64(19);
+        let model = conv_model(&mut rng);
+        let dims = [2, 3, 8, 8];
+        let f = std::mem::size_of::<f32>();
+        // Conv panels: k = 27 rows of two 4-row slivers; linear panels:
+        // k = 8 rows of one 8-wide sliver.
+        let (conv_panels, linear_panels) = (27 * 8 * f, 8 * 8 * f);
+        let (dw_taps, bn_tables) = (8 * 9 * f, 4 * 8 * f);
+        let (conv_bias, linear_bias) = (8 * f, 4 * f);
+        let folded = CompiledPlan::compile(&dims, |fw, v| model.forward(fw, v));
+        // Folding leaves no batch norm and gives the depthwise a bias.
+        assert_eq!(
+            folded.packed_bytes(),
+            conv_panels + conv_bias + dw_taps + 8 * f + linear_panels + linear_bias
+        );
+        let unfolded = CompiledPlan::compile_with(
+            &dims,
+            PlanOptions {
+                fold_bn: false,
+                fuse: false,
+                ..PlanOptions::default()
+            },
+            |fw, v| model.forward(fw, v),
+        );
+        assert_eq!(
+            unfolded.packed_bytes(),
+            conv_panels + conv_bias + bn_tables + dw_taps + bn_tables + linear_panels + linear_bias
+        );
     }
 
     #[test]
@@ -2636,29 +2715,7 @@ mod tests {
         // 16x16 plane) quantizes whole — and still fuses, proving the
         // chain decision and Pass F's homogeneity check line up.
         let mut rng = StdRng::seed_from_u64(42);
-        let model = Sequential::new()
-            .push(Conv2d::new(
-                8,
-                48,
-                ConvGeometry::pointwise(),
-                true,
-                &mut rng,
-            ))
-            .push(Activation::new(ActKind::Relu6))
-            .push(DepthwiseConv2d::new(
-                48,
-                ConvGeometry::same(3, 1),
-                true,
-                &mut rng,
-            ))
-            .push(Activation::new(ActKind::Relu6))
-            .push(Conv2d::new(
-                48,
-                8,
-                ConvGeometry::pointwise(),
-                true,
-                &mut rng,
-            ));
+        let model = inverted_residual(8, 48, 8, 1, &mut rng);
         let x = Tensor::randn([1, 8, 16, 16], &mut rng);
         let qplan =
             CompiledPlan::compile_quantized(x.dims(), &calib_batches(x.dims(), 2, 43), |f, v| {
@@ -2670,6 +2727,33 @@ mod tests {
             qplan.action_count(),
             fused.action_count(),
             "quantized chain should still fuse to one action"
+        );
+    }
+
+    #[test]
+    fn fused_f32_chain_is_bitwise_equal_to_unfused() {
+        // 8 -> 32 -> 4 channels around a 3x3 stride-2 depthwise on a 32x32
+        // plane: the fused executor runs 15 output rows and then 1, so its
+        // last project GEMM (4 x 32 x 16 = 2,048 multiply-adds) is far
+        // smaller than the unfused full-plane one (32,768).
+        let mut rng = StdRng::seed_from_u64(44);
+        let model = inverted_residual(8, 32, 4, 2, &mut rng);
+        let x = Tensor::randn([2, 8, 32, 32], &mut rng);
+        let fused = CompiledPlan::compile(x.dims(), |f, v| model.forward(f, v));
+        let unfused = CompiledPlan::compile_with(
+            x.dims(),
+            PlanOptions {
+                fuse: false,
+                ..PlanOptions::default()
+            },
+            |f, v| model.forward(f, v),
+        );
+        assert_eq!(fused.action_count(), 1, "the chain should fuse");
+        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(fused.run(&x)),
+            bits(unfused.run(&x)),
+            "fused f32 chain differs from its unfused twin"
         );
     }
 

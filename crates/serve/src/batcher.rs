@@ -4,12 +4,16 @@
 //!
 //! Coalescing is a pure memory concatenation along a new leading batch
 //! dimension, and every kernel the compiled plan replays is per-sample
-//! independent in its batch dimension (convolutions, depthwise, pooling,
-//! and GAP loop over samples; the linear layers' blocked GEMM pins its
-//! K-blocking independently of M), so a coalesced request's slice of the
+//! independent in its batch dimension: convolutions, depthwise, pooling
+//! and GAP loop over samples, and a linear layer's GEMM runs the same
+//! blocked schedule at every batch, where each output element's bits
+//! depend only on its own input row, its weight column and `k` (int8
+//! linears accumulate exactly). So a coalesced request's slice of the
 //! batched output is **bitwise identical** to running that request alone
-//! at batch 1. The property suite in `tests/serve.rs` holds the server to
-//! exactly that.
+//! at batch 1, for f32 and int8 plans alike. The property suite in
+//! `tests/serve.rs` holds the server to exactly that, and the workspace
+//! test `tests/batch_invariance.rs` holds the Table I tenants to it at
+//! batches 1–16.
 
 use nb_tensor::Tensor;
 

@@ -1,7 +1,7 @@
 //! LRU cache of compiled plans, bounded by resident bytes.
 //!
 //! A multi-tenant server keeps many models warm; each resident
-//! [`CompiledPlan`] costs its prepacked weight panels
+//! [`CompiledPlan`] costs every weight and table its kernels hold
 //! ([`CompiledPlan::packed_bytes`]) plus the activation arena a warm
 //! replay keeps around ([`CompiledPlan::arena_bytes`]). The cache charges
 //! every entry that sum and evicts least-recently-used plans until the
@@ -130,16 +130,18 @@ impl PlanCache {
     }
 }
 
-/// What one resident plan costs the cache: prepacked weight panels plus
-/// the probe-batch activation arena a warm replay keeps.
+/// What one resident plan costs the cache: every weight and table the
+/// plan's kernels hold plus the probe-batch activation arena a warm replay
+/// keeps.
 ///
-/// Both terms come from the plan itself, so the charge tracks what the
-/// plan actually holds rather than assuming f32 panels: an int8 plan
-/// ([`CompiledPlan::compile_quantized`]) reports its i8 panels plus scale
-/// tables (roughly a quarter of the f32 packing) and its u8 quantization
-/// scratch, so mixed f32/i8 residency evicts by true footprint — a
-/// quantized tenant is cheaper to keep warm, exactly as deployment
-/// intends.
+/// Both terms come from the plan itself and count f32 and int8 plans the
+/// same way: packed GEMM panels, depthwise taps, biases and unfolded
+/// batch-norm tables, then the arena. An int8 plan
+/// ([`CompiledPlan::compile_quantized`]) holds i8 panels and taps with
+/// their scale tables (roughly a quarter of the f32 weights) plus its u8
+/// quantization scratch, so mixed f32/i8 residency evicts by true
+/// footprint — a quantized tenant is cheaper to keep warm, exactly as
+/// deployment intends.
 pub fn plan_cost(plan: &CompiledPlan) -> usize {
     plan.packed_bytes() + plan.arena_bytes()
 }

@@ -11,9 +11,11 @@
 //! The crate stacks four pieces on that foundation:
 //!
 //! - [`batcher`]: coalesce single-sample requests into one batched tensor
-//!   and split the output back, with per-sample bitwise batch-invariance.
+//!   and split the output back, with per-sample bitwise batch-invariance
+//!   for f32 and int8 plans alike.
 //! - [`cache`]: a byte-bounded LRU of compiled plans keyed by model name,
-//!   so many tenants share a fixed memory budget.
+//!   each charged for the weights, tables and warm arena it holds, so many
+//!   tenants share a fixed memory budget.
 //! - [`server`]: the request queue, dynamic batching policy, worker pool,
 //!   and the accepted-implies-answered shutdown/drain contract.
 //! - [`traffic`]: seeded open-loop Poisson/bursty arrival schedules for

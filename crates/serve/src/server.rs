@@ -4,9 +4,8 @@
 //! queue feeds a fixed pool of worker threads; each worker claims the
 //! oldest pending request plus up to `max_batch - 1` more *for the same
 //! model* (skipping over other tenants' requests without reordering them),
-//! coalesces the batch, replays the model's shared
-//! [`CompiledPlan`](nb_nn::CompiledPlan) through a worker-local
-//! [`PlanArena`](nb_nn::PlanArena), and answers every request in the
+//! coalesces the batch, replays the model's shared [`CompiledPlan`]
+//! through a worker-local [`PlanArena`], and answers every request in the
 //! batch. Plans live in the byte-bounded [`PlanCache`]; the arena is keyed
 //! by model and reused across batches, so a warm worker replays without
 //! activation allocation.

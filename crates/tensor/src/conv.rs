@@ -161,8 +161,8 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, geom: ConvGeometry) ->
 /// The forward lowering is *implicit*: each sample is handed to the GEMM as
 /// a virtual im2col view, so the packing loop reads the image directly and
 /// no column matrix is materialized. Bits match a GEMM over the materialized
-/// column matrix exactly — the packed panel bytes and the direct-path
-/// accumulation order are both identical by construction.
+/// column matrix exactly — the packed panel bytes are identical by
+/// construction.
 ///
 /// # Panics
 ///
@@ -209,8 +209,9 @@ pub fn conv2d_into(
 /// operand; the input rides through the same virtual im2col view as
 /// [`conv2d_into`], so neither operand of the serving-path GEMM touches a
 /// scratch matrix. Output bits match [`conv2d_into`] followed by a separate
-/// elementwise activation pass for every thread count (see
-/// [`crate::gemm::gemm_a_packed`]). 1x1 stride-1 unpadded convolutions skip
+/// elementwise activation pass for every thread count: the prepacked panels
+/// hold the bytes the unpacked path packs, and both run the one blocked
+/// schedule. 1x1 stride-1 unpadded convolutions skip
 /// the virtual view's coordinate math entirely: the column matrix of a
 /// pointwise conv is the input sample itself, so the sample slice feeds the
 /// GEMM directly — same bytes, no copy.
@@ -482,8 +483,8 @@ pub fn depthwise_conv2d_fused_into(
 /// conv's im2col matrix *is* the input, so the GEMM runs on it directly.
 /// This is the stage kernel the fused inverted-residual executor in `nb-nn`
 /// drives over output-row strips; it shares the plan pointwise fast path's
-/// kernel, so fused and unfused execution pick the same schedule for a
-/// given `n`.
+/// kernel, and an output element's bits do not depend on `n`, so a strip's
+/// columns equal the same columns of the full-plane call bit for bit.
 ///
 /// # Panics
 ///

@@ -3,10 +3,11 @@
 //!
 //! Depthwise convolution has no GEMM reduction to amortize packing over —
 //! each output channel reads one input channel through a tiny `kh x kw`
-//! stencil — so the implicit-GEMM machinery in [`crate::gemm`] never pays
-//! for itself here. Instead this module vectorizes along the output *row*:
-//! eight output columns per AVX2 register, with every kernel tap broadcast
-//! once per (channel, row-strip) call.
+//! stencil — so the implicit-GEMM machinery in
+//! [`crate::gemm`](mod@crate::gemm) never pays for itself here. Instead this
+//! module vectorizes along the output *row*: eight output columns per AVX2
+//! register, with every kernel tap broadcast once per (channel, row-strip)
+//! call.
 //!
 //! ## Bitwise contract
 //!
@@ -39,13 +40,17 @@ use crate::qgemm::{QW_MAX, Q_ZERO};
 use crate::threadpool::{self, SharedMut};
 use crate::ConvGeometry;
 
+/// Multiply-adds per sample from which [`row_strip`] picks the SIMD
+/// kernels.
+const ROW_STRIP_MACS: usize = 16 * 16 * 16;
+
 /// Whether a depthwise layer of `c` channels, `taps = kh * kw` and
 /// `plane = ho * wo` output pixels runs the row-strip SIMD kernels (where
 /// the host and geometry allow them) rather than the scalar reference:
-/// from `16³` multiply-adds per sample, the same cutoff as the GEMM's
-/// direct loops.
+/// from `16³` multiply-adds per sample. The two produce identical bits, so
+/// this is a speed decision only.
 pub fn row_strip(c: usize, taps: usize, plane: usize) -> bool {
-    c * taps * plane >= crate::gemm::SMALL_MNK
+    c * taps * plane >= ROW_STRIP_MACS
 }
 
 /// Scalar reference: output columns `[j0, j1)` of absolute output row `oi`
@@ -955,7 +960,8 @@ impl QDepthwiseW {
     }
 
     /// Heap bytes held: i8 taps plus the f32 scale and i32 kersum tables —
-    /// what plan `packed_bytes` charges for a quantized depthwise layer.
+    /// what plan `packed_bytes` charges for a quantized depthwise layer's
+    /// taps.
     pub fn bytes(&self) -> usize {
         self.q.len() + (self.scales.len() + self.kersums.len()) * 4
     }

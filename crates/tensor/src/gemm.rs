@@ -10,17 +10,24 @@
 //! happens in thread-local scratch buffers (see [`crate::threadpool`]) so
 //! steady-state GEMMs allocate nothing.
 //!
-//! Which schedule runs — the no-pack direct loops or the blocked kernel,
-//! serial or row-split — is a pure function of the shape, [`variant`].
-//! `KC` is fixed: it pins the per-element accumulation order, which is what
-//! keeps the serial and row-split schedules of a shape bitwise-identical.
+//! Every f32 GEMM runs this one blocked schedule, whatever its shape. The
+//! only shape rule is whether the rows split across the worker pool (from
+//! `2¹⁷` multiply-adds), and that is a speed decision, not a bit decision.
+//! `KC` is fixed and the microkernel keeps every output element in its own
+//! accumulator, so an element's bits depend only on its row of A, its
+//! column of B and `k` — never on `m`, `n`, the row split or the thread
+//! count. A batched linear layer therefore equals its batch-1 replay bit for
+//! bit, and a column strip of a pointwise conv equals the same columns of
+//! the full-plane GEMM.
 //!
 //! The right operand does not have to be a materialized matrix: the conv
-//! forward path hands the packing loop an [`Im2colRef`], a *virtual* im2col
+//! forward path hands the packing loop an `Im2colRef`, a *virtual* im2col
 //! layout that gathers panel slivers straight out of the input image. The
 //! packed bytes are identical to packing a materialized column matrix, so
 //! the implicit path is bitwise-equal to a GEMM over that matrix while never
-//! writing the `[c_in*kh*kw, ho*wo]` buffer at all.
+//! writing the `[c_in*kh*kw, ho*wo]` buffer at all. Either operand may also
+//! come prepacked ([`PackedA`], [`PackedB`]): the kernel then slices the
+//! panels instead of packing them, with the same bytes and the same bits.
 //!
 //! Builds target baseline `x86-64`, so on x86-64 hosts the tile loop
 //! dispatches at runtime (via `is_x86_feature_detected!`) to an AVX2+FMA
@@ -50,52 +57,12 @@ const KC: usize = 256;
 /// Columns of B packed per strip (multiple of `NR`).
 const NC: usize = 256;
 
-/// Below this many multiply-adds the naive loops beat packing overhead.
-pub(crate) const SMALL_MNK: usize = 16 * 16 * 16;
-/// Below this many multiply-adds a single thread beats pool dispatch.
-const PARALLEL_MNK: usize = 1 << 17;
-
-/// Loop structure of one GEMM-shaped problem.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Schedule {
-    /// No-pack naive loops (small problems, where packing traffic outweighs
-    /// the blocked kernel).
-    Direct,
-    /// The packed BLIS-style kernel over `MC x KC` and `KC x NC` blocks.
-    Blocked,
-}
-
-/// The kernel choice for one GEMM-shaped problem; see [`variant`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Variant {
-    /// Which loop structure runs.
-    pub schedule: Schedule,
-    /// Split across the worker pool. A hint, not a bit contract: the f32
-    /// split is by `MR`-aligned row chunks that each run the full blocked
-    /// algorithm, and the int8 split is by column strips of an exact integer
-    /// accumulation, so bits never depend on this flag.
-    pub parallel: bool,
-}
-
-/// The kernel choice for an `m x k` by `k x n` problem: direct loops below
-/// `16³` multiply-adds, the packed kernel from there, split across the pool
-/// from `2¹⁷`. A pure function of the shape, so two executors that meet the
-/// same shape (matmul and a prepacked plan, f32 and int8) always run the
-/// same schedule. Degenerate shapes (`m`, `n`, or `k` of zero) are handled
-/// by callers before dispatch.
-pub fn variant(m: usize, k: usize, n: usize) -> Variant {
-    let mnk = m * k * n;
-    if mnk < SMALL_MNK {
-        Variant {
-            schedule: Schedule::Direct,
-            parallel: false,
-        }
-    } else {
-        Variant {
-            schedule: Schedule::Blocked,
-            parallel: mnk >= PARALLEL_MNK,
-        }
-    }
+/// Whether an `m x k` by `k x n` problem splits its rows across the worker
+/// pool: from `2¹⁷` multiply-adds, below which one thread beats pool
+/// dispatch. Every row chunk runs the full blocked algorithm, so the bits
+/// never depend on the answer.
+pub(crate) fn parallel(m: usize, k: usize, n: usize) -> bool {
+    m * k * n >= 1 << 17
 }
 
 /// General matrix multiply: `C = A' * B'` (or `C += A' * B'`).
@@ -131,6 +98,37 @@ pub fn gemm(
 ) {
     assert_eq!(a.len(), m * k, "gemm lhs buffer length");
     assert_eq!(b.len(), k * n, "gemm rhs buffer length");
+    drive(
+        &AOperand::Mat { a, trans: a_trans },
+        &BOperand::Mat { b, trans: b_trans },
+        c,
+        m,
+        k,
+        n,
+        row_init,
+        accumulate,
+        Epilogue::None,
+    );
+}
+
+/// The one driver behind every f32 GEMM entry point:
+/// `C = act(A' * B' + row_init)`, or `C += A' * B'` with `accumulate` (and
+/// no activation). It handles the degenerate shapes, splits `MR`-aligned
+/// row chunks across the pool where [`parallel`] says so, and applies the
+/// activation to each finished chunk, which equals a separate pass
+/// afterwards because the activation is pointwise.
+#[allow(clippy::too_many_arguments)]
+fn drive(
+    aop: &AOperand,
+    bop: &BOperand,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    row_init: Option<&[f32]>,
+    accumulate: bool,
+    act: Epilogue,
+) {
     assert_eq!(c.len(), m * n, "gemm out buffer length");
     if let Some(init) = row_init {
         assert_eq!(init.len(), m, "gemm row_init length");
@@ -142,56 +140,17 @@ pub fn gemm(
     if k == 0 {
         // No products to add: the epilogue alone defines the output.
         if !accumulate {
-            for i in 0..m {
-                let base = row_init.map_or(0.0, |r| r[i]);
-                c[i * n..(i + 1) * n].iter_mut().for_each(|v| *v = base);
+            for (i, row) in c.chunks_exact_mut(n).enumerate() {
+                row.fill(row_init.map_or(0.0, |r| r[i]));
             }
-        }
-        return;
-    }
-    let bop = BOperand::Mat { b, trans: b_trans };
-    run_variant(
-        variant(m, k, n),
-        a,
-        a_trans,
-        &bop,
-        c,
-        m,
-        k,
-        n,
-        row_init,
-        accumulate,
-    );
-}
-
-/// Executes one variant of [`gemm`] on an unpacked left operand.
-#[allow(clippy::too_many_arguments)]
-fn run_variant(
-    variant: Variant,
-    a: &[f32],
-    a_trans: bool,
-    bop: &BOperand,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    row_init: Option<&[f32]>,
-    accumulate: bool,
-) {
-    if variant.schedule == Schedule::Direct {
-        match bop {
-            BOperand::Mat { b, trans } => {
-                gemm_naive(a, a_trans, b, *trans, c, m, k, n, row_init, accumulate);
-            }
-            BOperand::Im2col(im) => {
-                gemm_naive_im2col(a, a_trans, im, c, m, k, n, row_init, accumulate);
-            }
+            act.apply(c);
         }
         return;
     }
     let threads = threadpool::num_threads();
-    if !variant.parallel || threads <= 1 || m < 2 * MR {
-        gemm_blocked(a, a_trans, bop, c, 0, m, m, k, n, row_init, accumulate);
+    if !parallel(m, k, n) || threads <= 1 || m < 2 * MR {
+        gemm_blocked(aop, bop, c, 0, m, m, k, n, row_init, accumulate);
+        act.apply(c);
         return;
     }
     // Split rows into MR-aligned chunks, one task each. Each task runs the
@@ -205,9 +164,8 @@ fn run_variant(
         let rows = chunk.min(m - i0);
         // Safety: row ranges [i0, i0 + rows) are disjoint across tasks.
         let c_rows = unsafe { shared_c.slice(i0 * n, rows * n) };
-        gemm_blocked(
-            a, a_trans, bop, c_rows, i0, rows, m, k, n, row_init, accumulate,
-        );
+        gemm_blocked(aop, bop, c_rows, i0, rows, m, k, n, row_init, accumulate);
+        act.apply(c_rows);
     });
 }
 
@@ -218,120 +176,6 @@ fn b_at(b: &[f32], b_trans: bool, k: usize, n: usize, p: usize, j: usize) -> f32
         b[j * k + p]
     } else {
         b[p * n + j]
-    }
-}
-
-/// Reference kernel: simple loops, no packing. Used for small problems and
-/// as the ground truth in tests.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_naive(
-    a: &[f32],
-    a_trans: bool,
-    b: &[f32],
-    b_trans: bool,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    row_init: Option<&[f32]>,
-    accumulate: bool,
-) {
-    if !accumulate {
-        for i in 0..m {
-            let base = row_init.map_or(0.0, |r| r[i]);
-            c[i * n..(i + 1) * n].iter_mut().for_each(|v| *v = base);
-        }
-    }
-    match (a_trans, b_trans) {
-        (false, false) => {
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for (c_ij, &b_pj) in c_row.iter_mut().zip(b_row) {
-                        *c_ij += a_ip * b_pj;
-                    }
-                }
-            }
-        }
-        (false, true) => {
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for (j, c_ij) in c_row.iter_mut().enumerate() {
-                    let b_row = &b[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (x, y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    *c_ij += acc;
-                }
-            }
-        }
-        (true, false) => {
-            for p in 0..k {
-                let a_row = &a[p * m..(p + 1) * m];
-                let b_row = &b[p * n..(p + 1) * n];
-                for (i, &a_pi) in a_row.iter().enumerate() {
-                    if a_pi == 0.0 {
-                        continue;
-                    }
-                    let c_row = &mut c[i * n..(i + 1) * n];
-                    for (c_ij, &b_pj) in c_row.iter_mut().zip(b_row) {
-                        *c_ij += a_pi * b_pj;
-                    }
-                }
-            }
-        }
-        (true, true) => {
-            for i in 0..m {
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for (j, c_ij) in c_row.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for p in 0..k {
-                        acc += a[p * m + i] * b[j * k + p];
-                    }
-                    *c_ij += acc;
-                }
-            }
-        }
-    }
-}
-
-/// [`gemm_naive`] with the right operand read through a virtual im2col
-/// layout. Loop structure and accumulation order replicate the `(NN)` arm of
-/// [`gemm_naive`] exactly — including the multiply-by-zero terms for padded
-/// taps — so the output bits match running `gemm_naive` on a materialized
-/// column matrix. Only the untransposed-A layout exists: conv weights are
-/// always stored `[c_out, c_in*kh*kw]` row-major.
-#[allow(clippy::too_many_arguments)]
-fn gemm_naive_im2col(
-    a: &[f32],
-    a_trans: bool,
-    im: &Im2colRef,
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    row_init: Option<&[f32]>,
-    accumulate: bool,
-) {
-    assert!(!a_trans, "implicit conv GEMM requires row-major weights");
-    if !accumulate {
-        for i in 0..m {
-            let base = row_init.map_or(0.0, |r| r[i]);
-            c[i * n..(i + 1) * n].iter_mut().for_each(|v| *v = base);
-        }
-    }
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            for (j, c_ij) in c_row.iter_mut().enumerate() {
-                *c_ij += a_ip * im.at(p, j);
-            }
-        }
     }
 }
 
@@ -482,32 +326,72 @@ impl Im2colRef<'_> {
         }
     }
 }
+/// The left operand of the blocked kernel: a matrix (possibly stored
+/// transposed) packed block by block, or panels packed once by
+/// [`pack_a_full`].
+enum AOperand<'a> {
+    Mat { a: &'a [f32], trans: bool },
+    Packed(&'a [f32]),
+}
 
-/// The right operand of the blocked kernel: either a materialized matrix
-/// (possibly stored transposed) or a virtual im2col view of a conv input.
-pub(crate) enum BOperand<'a> {
+impl AOperand<'_> {
+    /// The `mc x kc` block at `(i0, p0)` in `MR`-sliver layout: packed into
+    /// `scratch`, or sliced out of the prepacked panels. `i0` must be a
+    /// multiple of `MR`, which `MC` and the row split guarantee.
+    #[allow(clippy::too_many_arguments)]
+    fn block<'s>(
+        &'s self,
+        scratch: &'s mut [f32],
+        m: usize,
+        k: usize,
+        i0: usize,
+        mc: usize,
+        p0: usize,
+        kc: usize,
+    ) -> &'s [f32] {
+        match self {
+            AOperand::Mat { a, trans } => pack_a(scratch, a, *trans, m, k, i0, mc, p0, kc),
+            AOperand::Packed(panels) => {
+                return &panels[p0 * m.div_ceil(MR) * MR + i0 / MR * kc * MR..];
+            }
+        }
+        scratch
+    }
+}
+
+/// The right operand of the blocked kernel: a materialized matrix (possibly
+/// stored transposed), a virtual im2col view of a conv input, or panels
+/// packed once by [`PackedB::pack`].
+enum BOperand<'a> {
     Mat { b: &'a [f32], trans: bool },
     Im2col(&'a Im2colRef<'a>),
+    Packed(&'a [f32]),
 }
 
 impl BOperand<'_> {
-    /// Packs the `kc x nc` panel at `(p0, j0)`; identical output layout for
-    /// both sources.
+    /// The `kc x nc` panel at `(p0, j0)` in `NR`-sliver layout: packed into
+    /// `scratch` (the same bytes for a matrix and an im2col view), or sliced
+    /// out of the prepacked panels. `j0` must be a multiple of `NR`, which
+    /// `NC` guarantees.
     #[allow(clippy::too_many_arguments)]
-    fn pack_panel(
-        &self,
-        bp: &mut [f32],
+    fn panel<'s>(
+        &'s self,
+        scratch: &'s mut [f32],
         k: usize,
         n: usize,
         p0: usize,
         kc: usize,
         j0: usize,
         nc: usize,
-    ) {
+    ) -> &'s [f32] {
         match self {
-            BOperand::Mat { b, trans } => pack_b(bp, b, *trans, k, n, p0, kc, j0, nc),
-            BOperand::Im2col(im) => im.pack(bp, p0, kc, j0, nc),
+            BOperand::Mat { b, trans } => pack_b(scratch, b, *trans, k, n, p0, kc, j0, nc),
+            BOperand::Im2col(im) => im.pack(scratch, p0, kc, j0, nc),
+            BOperand::Packed(panels) => {
+                return &panels[p0 * n.div_ceil(NR) * NR + j0 / NR * kc * NR..];
+            }
         }
+        scratch
     }
 }
 
@@ -713,13 +597,13 @@ mod x86 {
         }
     }
 }
-
-/// Blocked GEMM over the row range `[i0, i0 + mc_total)` of the full problem.
-/// `c` holds exactly those rows (`mc_total x n`, row-major).
+/// The blocked kernel over the row range `[i0, i0 + mc_total)` of the full
+/// `m x n` problem; `c` holds exactly those rows (`mc_total x n`,
+/// row-major). Operands that are not prepacked are packed on demand into
+/// thread-local scratch.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
-    a: &[f32],
-    a_trans: bool,
+    aop: &AOperand,
     bop: &BOperand,
     c: &mut [f32],
     i0: usize,
@@ -731,17 +615,27 @@ fn gemm_blocked(
     accumulate: bool,
 ) {
     let fma = use_fma_kernel();
-    with_scratch(&GEMM_PACK_B, KC * NC, |bp| {
-        with_scratch(&GEMM_PACK_A, KC * MC, |ap| {
+    let a_len = if matches!(aop, AOperand::Packed(_)) {
+        0
+    } else {
+        KC * MC
+    };
+    let b_len = if matches!(bop, BOperand::Packed(_)) {
+        0
+    } else {
+        KC * NC
+    };
+    with_scratch(&GEMM_PACK_B, b_len, |b_scratch| {
+        with_scratch(&GEMM_PACK_A, a_len, |a_scratch| {
             for jc in (0..n).step_by(NC) {
                 let nc = NC.min(n - jc);
                 for pc in (0..k).step_by(KC) {
                     let kc = KC.min(k - pc);
-                    bop.pack_panel(bp, k, n, pc, kc, jc, nc);
+                    let bp = bop.panel(b_scratch, k, n, pc, kc, jc, nc);
                     let first = pc == 0;
                     for ic in (0..mc_total).step_by(MC) {
                         let mc = MC.min(mc_total - ic);
-                        pack_a(ap, a, a_trans, m, k, i0 + ic, mc, pc, kc);
+                        let ap = aop.block(a_scratch, m, k, i0 + ic, mc, pc, kc);
                         macro_kernel(
                             ap, bp, c, ic, mc, jc, nc, n, kc, i0, row_init, accumulate, first, fma,
                         );
@@ -798,7 +692,6 @@ fn macro_kernel(
         }
     }
 }
-
 /// A left operand packed once into the GEMM panel format.
 ///
 /// The panel layout is byte-identical to what [`gemm`] packs per call: for
@@ -807,13 +700,9 @@ fn macro_kernel(
 /// `kc x MR` (zero-padded past `m`). The blocked kernel then slices straight
 /// into the prepacked buffer instead of repacking, so results stay bitwise
 /// identical to the pack-on-demand path, serial or row-split, since the
-/// layout depends only on `KC` and `MR`. The raw
-/// operand is retained so the small-problem dispatch can run the same naive
-/// loops [`gemm`] would.
+/// layout depends only on `KC` and `MR`.
 pub struct PackedA {
     panels: Vec<f32>,
-    raw: Vec<f32>,
-    trans: bool,
     m: usize,
     k: usize,
 }
@@ -829,13 +718,7 @@ impl PackedA {
         let mb = m.div_ceil(MR);
         let mut panels = vec![0.0f32; k * mb * MR];
         pack_a_full(&mut panels, a, a_trans, m, k);
-        PackedA {
-            panels,
-            raw: a.to_vec(),
-            trans: a_trans,
-            m,
-            k,
-        }
+        PackedA { panels, m, k }
     }
 
     /// Logical row count `m`.
@@ -848,9 +731,9 @@ impl PackedA {
         self.k
     }
 
-    /// Heap bytes held by this pack (panels + retained raw operand).
+    /// Heap bytes held by the packed panels.
     pub fn bytes(&self) -> usize {
-        (self.panels.len() + self.raw.len()) * std::mem::size_of::<f32>()
+        self.panels.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -861,8 +744,6 @@ impl PackedA {
 /// `pc * n.div_ceil(NR) * NR`, each `kc x NR` and zero-padded past `n`.
 pub struct PackedB {
     panels: Vec<f32>,
-    raw: Vec<f32>,
-    trans: bool,
     k: usize,
     n: usize,
 }
@@ -882,13 +763,7 @@ impl PackedB {
             let slab = &mut panels[pc * nb * NR..(pc + kc) * nb * NR];
             pack_b(slab, b, b_trans, k, n, pc, kc, 0, n);
         }
-        PackedB {
-            panels,
-            raw: b.to_vec(),
-            trans: b_trans,
-            k,
-            n,
-        }
+        PackedB { panels, k, n }
     }
 
     /// Logical inner dimension `k`.
@@ -901,37 +776,46 @@ impl PackedB {
         self.n
     }
 
-    /// Heap bytes held by this pack (panels + retained raw operand).
+    /// Heap bytes held by the packed panels.
     pub fn bytes(&self) -> usize {
-        (self.panels.len() + self.raw.len()) * std::mem::size_of::<f32>()
+        self.panels.len() * std::mem::size_of::<f32>()
     }
 }
 
-/// [`gemm`] with a prepacked left operand and a fused activation epilogue:
-/// `C = act(A' * B' + row_init)`.
+/// [`gemm`] with a prepacked right operand and a fused activation epilogue:
+/// `C = act(A' * B' + row_init)` — the kernel behind compiled linear layers,
+/// where the weight is the right operand.
 ///
-/// Dispatch mirrors [`gemm`] exactly (the same [`variant`] runs), and the
-/// prepacked panels are byte-identical to what the
-/// blocked path would pack, so the output bits match `gemm` followed by a
-/// separate elementwise activation pass for every thread count. The epilogue
-/// is applied per row-chunk on the parallel path, which is equivalent
-/// because it is pointwise.
+/// The prepacked panels are byte-identical to what [`gemm`] packs per call
+/// and both run the same blocked schedule, so the output bits match `gemm`
+/// followed by a separate elementwise activation pass, for every thread
+/// count. Each output row depends only on its own row of `A'`, so a batch of
+/// rows gives each row the bits it gets alone.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths disagree with the packed dimensions.
-pub fn gemm_a_packed(
-    pa: &PackedA,
-    b: &[f32],
-    b_trans: bool,
+pub fn gemm_b_packed(
+    a: &[f32],
+    a_trans: bool,
+    pb: &PackedB,
     c: &mut [f32],
-    n: usize,
+    m: usize,
     row_init: Option<&[f32]>,
     act: Epilogue,
 ) {
-    assert_eq!(b.len(), pa.k * n, "gemm_a_packed rhs buffer length");
-    let bop = BOperand::Mat { b, trans: b_trans };
-    gemm_a_packed_driver(pa, &bop, c, n, row_init, act);
+    assert_eq!(a.len(), m * pb.k, "gemm_b_packed lhs buffer length");
+    drive(
+        &AOperand::Mat { a, trans: a_trans },
+        &BOperand::Packed(&pb.panels),
+        c,
+        m,
+        pb.k,
+        pb.n,
+        row_init,
+        false,
+        act,
+    );
 }
 
 /// The conv forward GEMM against a prepacked weight and a *virtual* im2col
@@ -945,16 +829,25 @@ pub(crate) fn gemm_conv_packed(
     act: Epilogue,
 ) {
     assert_eq!(im.rows(), pa.k, "implicit conv operand inner dimension");
-    let n = im.cols();
-    let bop = BOperand::Im2col(im);
-    gemm_a_packed_driver(pa, &bop, c, n, row_init, act);
+    drive(
+        &AOperand::Packed(&pa.panels),
+        &BOperand::Im2col(im),
+        c,
+        pa.m,
+        pa.k,
+        im.cols(),
+        row_init,
+        false,
+        act,
+    );
 }
 
 /// The conv forward GEMM against a prepacked weight and a *materialized*
-/// right operand. The 1x1 stride-1
-/// unpadded fast path uses this: a pointwise conv's column matrix is the
-/// input sample itself, so packing the sample directly produces the same
-/// panel bytes as the virtual view with none of the coordinate math.
+/// right operand: `C = act(A' * B + row_init)` with `B` stored `k x n`
+/// row-major. The 1x1 stride-1 unpadded fast path uses this: a pointwise
+/// conv's column matrix is the input sample itself, so packing the sample
+/// directly produces the same panel bytes as the virtual view with none of
+/// the coordinate math.
 pub(crate) fn gemm_conv_packed_mat(
     pa: &PackedA,
     b: &[f32],
@@ -964,8 +857,17 @@ pub(crate) fn gemm_conv_packed_mat(
     act: Epilogue,
 ) {
     assert_eq!(b.len(), pa.k * n, "pointwise conv operand length");
-    let bop = BOperand::Mat { b, trans: false };
-    gemm_a_packed_driver(pa, &bop, c, n, row_init, act);
+    drive(
+        &AOperand::Packed(&pa.panels),
+        &BOperand::Mat { b, trans: false },
+        c,
+        pa.m,
+        pa.k,
+        n,
+        row_init,
+        false,
+        act,
+    );
 }
 
 /// The conv forward GEMM with an unpacked weight matrix and virtual im2col
@@ -976,7 +878,8 @@ pub(crate) fn gemm_conv_packed_mat(
 /// repacked per sample. `im` is the virtual im2col view of sample 0;
 /// sample `i` applies the same geometry to `batch[i * in_sz..]`. Samples
 /// run in parallel when the pool is wider than one thread (each worker
-/// packs its B panels into its own scratch).
+/// packs its B panels into its own scratch), and a lone sample splits its
+/// rows like any other GEMM.
 ///
 /// Bitwise identical to running each sample's GEMM through [`gemm`] on the
 /// materialized column matrix: the prepacked panel bytes match the
@@ -1007,237 +910,21 @@ pub(crate) fn gemm_conv_batch(
     if c_out == 0 || n == 0 {
         return;
     }
-    let sample = |ni: usize| Im2colRef {
-        x: &batch[ni * in_sz..(ni + 1) * in_sz],
-        ..*im
-    };
-    let threads = threadpool::num_threads();
-    if variant(c_out, k, n).schedule == Schedule::Blocked {
-        let mb = c_out.div_ceil(MR);
-        with_scratch(&GEMM_PACK_A, k * mb * MR, |ap| {
-            pack_a_full(ap, ws, false, c_out, k);
-            let panels: &[f32] = ap;
-            if threads > 1 && ns > 1 {
-                let shared_out = SharedMut::new(out);
-                threadpool::parallel_for(ns, &|ni| {
-                    // Safety: each task writes only its own sample's window.
-                    let o = unsafe { shared_out.slice(ni * out_sz, out_sz) };
-                    let sm = sample(ni);
-                    let bop = BOperand::Im2col(&sm);
-                    gemm_blocked_pa(panels, c_out, k, &bop, o, 0, c_out, n, row_init);
-                });
-            } else {
-                for (ni, o) in out.chunks_exact_mut(out_sz).enumerate() {
-                    let sm = sample(ni);
-                    let bop = BOperand::Im2col(&sm);
-                    gemm_blocked_pa(panels, c_out, k, &bop, o, 0, c_out, n, row_init);
-                }
-            }
-        });
-    } else if threads > 1 && ns > 1 {
+    with_scratch(&GEMM_PACK_A, k * c_out.div_ceil(MR) * MR, |panels| {
+        pack_a_full(panels, ws, false, c_out, k);
+        let aop = AOperand::Packed(panels);
         let shared_out = SharedMut::new(out);
         threadpool::parallel_for(ns, &|ni| {
             // Safety: each task writes only its own sample's window.
             let o = unsafe { shared_out.slice(ni * out_sz, out_sz) };
-            let sm = sample(ni);
-            gemm_naive_im2col(ws, false, &sm, o, c_out, k, n, row_init, false);
+            let sample = Im2colRef {
+                x: &batch[ni * in_sz..(ni + 1) * in_sz],
+                ..*im
+            };
+            let bop = BOperand::Im2col(&sample);
+            drive(&aop, &bop, o, c_out, k, n, row_init, false, Epilogue::None);
         });
-    } else {
-        for (ni, o) in out.chunks_exact_mut(out_sz).enumerate() {
-            let sm = sample(ni);
-            gemm_naive_im2col(ws, false, &sm, o, c_out, k, n, row_init, false);
-        }
-    }
-}
-
-/// Shared driver for the prepacked-A entry points.
-#[allow(clippy::too_many_arguments)]
-fn gemm_a_packed_driver(
-    pa: &PackedA,
-    bop: &BOperand,
-    c: &mut [f32],
-    n: usize,
-    row_init: Option<&[f32]>,
-    act: Epilogue,
-) {
-    let (m, k) = (pa.m, pa.k);
-    assert_eq!(c.len(), m * n, "gemm_a_packed out buffer length");
-    if let Some(init) = row_init {
-        assert_eq!(init.len(), m, "gemm_a_packed row_init length");
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        for i in 0..m {
-            let base = row_init.map_or(0.0, |r| r[i]);
-            c[i * n..(i + 1) * n].iter_mut().for_each(|v| *v = base);
-        }
-        act.apply(c);
-        return;
-    }
-    let variant = variant(m, k, n);
-    if variant.schedule == Schedule::Direct {
-        match bop {
-            BOperand::Mat { b, trans } => {
-                gemm_naive(&pa.raw, pa.trans, b, *trans, c, m, k, n, row_init, false);
-            }
-            BOperand::Im2col(im) => {
-                gemm_naive_im2col(&pa.raw, pa.trans, im, c, m, k, n, row_init, false);
-            }
-        }
-        act.apply(c);
-        return;
-    }
-    let threads = threadpool::num_threads();
-    if !variant.parallel || threads <= 1 || m < 2 * MR {
-        gemm_blocked_pa(&pa.panels, m, k, bop, c, 0, m, n, row_init);
-        act.apply(c);
-        return;
-    }
-    let chunk = m.div_ceil(threads).div_ceil(MR) * MR;
-    let tasks = m.div_ceil(chunk);
-    let shared_c = SharedMut::new(c);
-    threadpool::parallel_for(tasks, &|t| {
-        let i0 = t * chunk;
-        let rows = chunk.min(m - i0);
-        // Safety: row ranges [i0, i0 + rows) are disjoint across tasks.
-        let c_rows = unsafe { shared_c.slice(i0 * n, rows * n) };
-        gemm_blocked_pa(&pa.panels, m, k, bop, c_rows, i0, rows, n, row_init);
-        act.apply(c_rows);
     });
-}
-
-/// [`gemm`] with a prepacked right operand and a fused activation epilogue:
-/// `C = act(A' * B' + row_init)`. See [`gemm_a_packed`] for the bitwise
-/// contract; this is its mirror for linear layers, where the weight is the
-/// right operand.
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree with the packed dimensions.
-pub fn gemm_b_packed(
-    a: &[f32],
-    a_trans: bool,
-    pb: &PackedB,
-    c: &mut [f32],
-    m: usize,
-    row_init: Option<&[f32]>,
-    act: Epilogue,
-) {
-    let (k, n) = (pb.k, pb.n);
-    assert_eq!(a.len(), m * k, "gemm_b_packed lhs buffer length");
-    assert_eq!(c.len(), m * n, "gemm_b_packed out buffer length");
-    if let Some(init) = row_init {
-        assert_eq!(init.len(), m, "gemm_b_packed row_init length");
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        for i in 0..m {
-            let base = row_init.map_or(0.0, |r| r[i]);
-            c[i * n..(i + 1) * n].iter_mut().for_each(|v| *v = base);
-        }
-        act.apply(c);
-        return;
-    }
-    let variant = variant(m, k, n);
-    if variant.schedule == Schedule::Direct {
-        gemm_naive(a, a_trans, &pb.raw, pb.trans, c, m, k, n, row_init, false);
-        act.apply(c);
-        return;
-    }
-    let threads = threadpool::num_threads();
-    if !variant.parallel || threads <= 1 || m < 2 * MR {
-        gemm_blocked_pb(a, a_trans, pb, c, 0, m, m, row_init);
-        act.apply(c);
-        return;
-    }
-    let chunk = m.div_ceil(threads).div_ceil(MR) * MR;
-    let tasks = m.div_ceil(chunk);
-    let shared_c = SharedMut::new(c);
-    threadpool::parallel_for(tasks, &|t| {
-        let i0 = t * chunk;
-        let rows = chunk.min(m - i0);
-        // Safety: row ranges [i0, i0 + rows) are disjoint across tasks.
-        let c_rows = unsafe { shared_c.slice(i0 * n, rows * n) };
-        gemm_blocked_pb(a, a_trans, pb, c_rows, i0, rows, m, row_init);
-        act.apply(c_rows);
-    });
-}
-
-/// [`gemm_blocked`] with A read from prepacked panels instead of repacking.
-/// `MC` is a multiple of `MR` and the parallel row split is `MR`-aligned, so `(i0 + ic) / MR` lands exactly on a sliver boundary and
-/// the existing [`macro_kernel`] indexing works unchanged on the slab tail.
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked_pa(
-    panels: &[f32],
-    m: usize,
-    k: usize,
-    bop: &BOperand,
-    c: &mut [f32],
-    i0: usize,
-    mc_total: usize,
-    n: usize,
-    row_init: Option<&[f32]>,
-) {
-    let mb = m.div_ceil(MR);
-    let fma = use_fma_kernel();
-    with_scratch(&GEMM_PACK_B, KC * NC, |bp| {
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            for pc in (0..k).step_by(KC) {
-                let kc = KC.min(k - pc);
-                bop.pack_panel(bp, k, n, pc, kc, jc, nc);
-                let first = pc == 0;
-                let slab = &panels[pc * mb * MR..];
-                for ic in (0..mc_total).step_by(MC) {
-                    let mc = MC.min(mc_total - ic);
-                    let ap = &slab[(i0 + ic) / MR * kc * MR..];
-                    macro_kernel(
-                        ap, bp, c, ic, mc, jc, nc, n, kc, i0, row_init, false, first, fma,
-                    );
-                }
-            }
-        }
-    })
-}
-
-/// [`gemm_blocked`] with B read from prepacked panels instead of repacking.
-/// `NC` is a multiple of `NR`, so `jc / NR` lands exactly
-/// on a sliver boundary within the k-panel's slab.
-#[allow(clippy::too_many_arguments)]
-fn gemm_blocked_pb(
-    a: &[f32],
-    a_trans: bool,
-    pb: &PackedB,
-    c: &mut [f32],
-    i0: usize,
-    mc_total: usize,
-    m: usize,
-    row_init: Option<&[f32]>,
-) {
-    let (k, n) = (pb.k, pb.n);
-    let nb = n.div_ceil(NR);
-    let fma = use_fma_kernel();
-    with_scratch(&GEMM_PACK_A, KC * MC, |ap| {
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            for pc in (0..k).step_by(KC) {
-                let kc = KC.min(k - pc);
-                let bp = &pb.panels[pc * nb * NR + jc / NR * kc * NR..];
-                let first = pc == 0;
-                for ic in (0..mc_total).step_by(MC) {
-                    let mc = MC.min(mc_total - ic);
-                    pack_a(ap, a, a_trans, m, k, i0 + ic, mc, pc, kc);
-                    macro_kernel(
-                        ap, bp, c, ic, mc, jc, nc, n, kc, i0, row_init, false, first, fma,
-                    );
-                }
-            }
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1249,6 +936,88 @@ mod tests {
 
     fn fill(len: usize, rng: &mut StdRng) -> Vec<f32> {
         (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+    }
+
+    fn same_bits(x: &[f32], y: &[f32]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// Reference kernel: simple loops, no packing, the ground truth the
+    /// blocked kernel is held to.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_naive(
+        a: &[f32],
+        a_trans: bool,
+        b: &[f32],
+        b_trans: bool,
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        row_init: Option<&[f32]>,
+        accumulate: bool,
+    ) {
+        if !accumulate {
+            for i in 0..m {
+                let base = row_init.map_or(0.0, |r| r[i]);
+                c[i * n..(i + 1) * n].iter_mut().for_each(|v| *v = base);
+            }
+        }
+        match (a_trans, b_trans) {
+            (false, false) => {
+                for i in 0..m {
+                    let a_row = &a[i * k..(i + 1) * k];
+                    let c_row = &mut c[i * n..(i + 1) * n];
+                    for (p, &a_ip) in a_row.iter().enumerate() {
+                        let b_row = &b[p * n..(p + 1) * n];
+                        for (c_ij, &b_pj) in c_row.iter_mut().zip(b_row) {
+                            *c_ij += a_ip * b_pj;
+                        }
+                    }
+                }
+            }
+            (false, true) => {
+                for i in 0..m {
+                    let a_row = &a[i * k..(i + 1) * k];
+                    let c_row = &mut c[i * n..(i + 1) * n];
+                    for (j, c_ij) in c_row.iter_mut().enumerate() {
+                        let b_row = &b[j * k..(j + 1) * k];
+                        let mut acc = 0.0f32;
+                        for (x, y) in a_row.iter().zip(b_row) {
+                            acc += x * y;
+                        }
+                        *c_ij += acc;
+                    }
+                }
+            }
+            (true, false) => {
+                for p in 0..k {
+                    let a_row = &a[p * m..(p + 1) * m];
+                    let b_row = &b[p * n..(p + 1) * n];
+                    for (i, &a_pi) in a_row.iter().enumerate() {
+                        if a_pi == 0.0 {
+                            continue;
+                        }
+                        let c_row = &mut c[i * n..(i + 1) * n];
+                        for (c_ij, &b_pj) in c_row.iter_mut().zip(b_row) {
+                            *c_ij += a_pi * b_pj;
+                        }
+                    }
+                }
+            }
+            (true, true) => {
+                for i in 0..m {
+                    let c_row = &mut c[i * n..(i + 1) * n];
+                    for (j, c_ij) in c_row.iter_mut().enumerate() {
+                        let mut acc = 0.0f32;
+                        for p in 0..k {
+                            acc += a[p * m + i] * b[j * k + p];
+                        }
+                        *c_ij += acc;
+                    }
+                }
+            }
+        }
     }
 
     /// Shapes chosen to stress every tail: non-multiples of MR/NR/MC/KC/NC,
@@ -1314,53 +1083,44 @@ mod tests {
 
     #[test]
     fn all_blocked_schedules_are_bitwise_equal() {
-        // The parallel hint reorders tile traversal but never the
-        // per-element k-order, so the serial and row-split blocked
-        // schedules of a shape must produce identical bits.
+        // The row split hands each task an MR-aligned chunk that runs the
+        // full blocked algorithm, so any such chunking (including ones the
+        // pool never picks) must reproduce the single-pass bits.
         let mut rng = StdRng::seed_from_u64(77);
         for &(m, k, n) in &[(33usize, 65usize, 17usize), (65, 255, 63), (128, 128, 128)] {
             let a = fill(m * k, &mut rng);
             let b = fill(k * n, &mut rng);
+            let aop = AOperand::Mat {
+                a: &a,
+                trans: false,
+            };
             let bop = BOperand::Mat {
                 b: &b,
                 trans: false,
             };
-            let run = |parallel: bool| {
+            let run = |chunk: usize| {
                 let mut c = vec![0.0f32; m * n];
-                let v = Variant {
-                    schedule: Schedule::Blocked,
-                    parallel,
-                };
-                run_variant(v, &a, false, &bop, &mut c, m, k, n, None, false);
+                for (t, rows) in c.chunks_mut(chunk * n).enumerate() {
+                    let mc = rows.len() / n;
+                    gemm_blocked(&aop, &bop, rows, t * chunk, mc, m, k, n, None, false);
+                }
                 c
             };
-            let (serial, split) = (run(false), run(true));
-            assert!(
-                serial
-                    .iter()
-                    .zip(&split)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "({m},{k},{n}) row split diverged"
-            );
+            let whole = run(m);
+            for chunk in [MR, 2 * MR, 3 * MR] {
+                assert!(
+                    same_bits(&whole, &run(chunk)),
+                    "({m},{k},{n}) row chunks of {chunk} diverged"
+                );
+            }
         }
     }
 
     #[test]
     fn static_rules_switch_at_their_thresholds() {
-        // (m, k, n) -> (schedule, parallel), each pair straddling a cutoff.
-        let gemm_cases = [
-            ((4095, 1, 1), Schedule::Direct, false),
-            ((4096, 1, 1), Schedule::Blocked, false),
-            ((131071, 1, 1), Schedule::Blocked, false),
-            ((131072, 1, 1), Schedule::Blocked, true),
-        ];
-        for ((m, k, n), schedule, parallel) in gemm_cases {
-            assert_eq!(
-                variant(m, k, n),
-                Variant { schedule, parallel },
-                "gemm {m}x{k}x{n}"
-            );
-        }
+        // The row split starts at 2^17 multiply-adds.
+        assert!(!parallel(131071, 1, 1), "gemm 131071x1x1 split");
+        assert!(parallel(131072, 1, 1), "gemm 131072x1x1 not split");
         // (c, taps, plane) -> row-strip?
         for ((c, taps, plane), strip) in [((4095, 1, 1), false), ((4096, 1, 1), true)] {
             assert_eq!(
@@ -1368,6 +1128,90 @@ mod tests {
                 strip,
                 "depthwise {c}x{taps}x{plane}"
             );
+        }
+    }
+
+    #[test]
+    fn output_bits_do_not_depend_on_m_or_n() {
+        // An element's bits depend only on its row of A, its column of B
+        // and k. So each row of an m-row product equals the 1-row product
+        // of that row (a batched linear layer against its batch-1 replay),
+        // and a column window of a pointwise conv equals the same columns
+        // of the full-width call (a fused strip against the full plane).
+        let mut rng = StdRng::seed_from_u64(51);
+        for k in [48usize, 64, 300] {
+            for n in [4usize, 10, 37] {
+                let a = fill(16 * k, &mut rng);
+                let b = fill(k * n, &mut rng);
+                for (a_trans, b_trans) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let solo: Vec<Vec<f32>> = (0..16)
+                        .map(|i| {
+                            let mut c = vec![0.0f32; n];
+                            let row = &a[i * k..(i + 1) * k];
+                            gemm(row, a_trans, &b, b_trans, &mut c, 1, k, n, None, false);
+                            c
+                        })
+                        .collect();
+                    let pb = PackedB::pack(&b, b_trans, k, n);
+                    for m in 1..=16 {
+                        let rows = &a[..m * k];
+                        let stored: Vec<f32> = if a_trans {
+                            (0..m * k).map(|t| rows[(t % m) * k + t / m]).collect()
+                        } else {
+                            rows.to_vec()
+                        };
+                        let mut c = vec![0.0f32; m * n];
+                        gemm(&stored, a_trans, &b, b_trans, &mut c, m, k, n, None, false);
+                        let mut cp = vec![0.0f32; m * n];
+                        gemm_b_packed(&stored, a_trans, &pb, &mut cp, m, None, Epilogue::None);
+                        for (i, want) in solo.iter().enumerate().take(m) {
+                            assert!(
+                                same_bits(&c[i * n..(i + 1) * n], want)
+                                    && same_bits(&cp[i * n..(i + 1) * n], want),
+                                "k={k} n={n} at={a_trans} bt={b_trans}: row {i} of {m} \
+                                 differs from its 1-row product"
+                            );
+                        }
+                    }
+                }
+                // A pointwise conv with n output channels over 16 pixels.
+                let w = fill(n * k, &mut rng);
+                let x = fill(k * 16, &mut rng);
+                let bias = fill(n, &mut rng);
+                let pa = PackedA::pack(&w, false, n, k);
+                let act = Epilogue::Relu6 { alpha: 0.1 };
+                let mut full = vec![0.0f32; n * 16];
+                crate::conv2d_pointwise_mat_into(&pa, &x, &mut full, 16, Some(&bias), act);
+                for j0 in [0usize, 5] {
+                    for j1 in j0 + 1..=16 {
+                        let width = j1 - j0;
+                        let strip_in: Vec<f32> = x
+                            .chunks_exact(16)
+                            .flat_map(|row| row[j0..j1].iter().copied())
+                            .collect();
+                        let mut strip = vec![0.0f32; n * width];
+                        crate::conv2d_pointwise_mat_into(
+                            &pa,
+                            &strip_in,
+                            &mut strip,
+                            width,
+                            Some(&bias),
+                            act,
+                        );
+                        for i in 0..n {
+                            assert!(
+                                same_bits(
+                                    &strip[i * width..(i + 1) * width],
+                                    &full[i * 16 + j0..i * 16 + j1]
+                                ),
+                                "k={k} n={n}: columns {j0}..{j1} differ from the full width"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1450,15 +1294,13 @@ mod tests {
                 };
                 let pa = PackedA::pack(&stored, a_trans, m, k);
                 let mut got = vec![0.0f32; m * n];
-                gemm_a_packed(&pa, &b, false, &mut got, n, row_init, Epilogue::None);
+                gemm_conv_packed_mat(&pa, &b, &mut got, n, row_init, Epilogue::None);
                 let mut want = vec![0.0f32; m * n];
                 gemm(
                     &stored, a_trans, &b, false, &mut want, m, k, n, row_init, false,
                 );
                 assert!(
-                    got.iter()
-                        .zip(&want)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    same_bits(&got, &want),
                     "({m},{k},{n}) at={a_trans}: packed A not bitwise equal"
                 );
             }
@@ -1489,9 +1331,7 @@ mod tests {
                 let mut want = vec![0.0f32; m * n];
                 gemm(&a, false, &stored, b_trans, &mut want, m, k, n, None, false);
                 assert!(
-                    got.iter()
-                        .zip(&want)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    same_bits(&got, &want),
                     "({m},{k},{n}) bt={b_trans}: packed B not bitwise equal"
                 );
             }
@@ -1502,7 +1342,7 @@ mod tests {
     fn packed_epilogue_matches_separate_pass_bitwise() {
         use crate::eltwise::{relu6_decay_slice, relu_decay_slice};
         let mut rng = StdRng::seed_from_u64(23);
-        // One shape per dispatch tier: naive, serial blocked, parallel blocked.
+        // One serial shape, and two that split across the pool at default width.
         for &(m, k, n) in &[(7usize, 13usize, 11usize), (40, 256, 24), (128, 128, 128)] {
             let a = fill(m * k, &mut rng);
             let b = fill(k * n, &mut rng);
@@ -1516,14 +1356,12 @@ mod tests {
                 ];
                 for (act, reference) in cases {
                     let mut got = vec![0.0f32; m * n];
-                    gemm_a_packed(&pa, &b, false, &mut got, n, Some(&init), act);
+                    gemm_conv_packed_mat(&pa, &b, &mut got, n, Some(&init), act);
                     let mut want = vec![0.0f32; m * n];
                     gemm(&a, false, &b, false, &mut want, m, k, n, Some(&init), false);
                     reference(&mut want, alpha);
                     assert!(
-                        got.iter()
-                            .zip(&want)
-                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        same_bits(&got, &want),
                         "({m},{k},{n}) {act:?}: fused epilogue not bitwise equal"
                     );
                 }
@@ -1538,32 +1376,14 @@ mod tests {
         let a = fill(m * k, &mut rng);
         let b = fill(k * n, &mut rng);
         let pa = PackedA::pack(&a, false, m, k);
+        let act = Epilogue::Relu { alpha: 0.1 };
         let mut wide = vec![0.0f32; m * n];
-        gemm_a_packed(
-            &pa,
-            &b,
-            false,
-            &mut wide,
-            n,
-            None,
-            Epilogue::Relu { alpha: 0.1 },
-        );
+        gemm_conv_packed_mat(&pa, &b, &mut wide, n, None, act);
         let mut narrow = vec![0.0f32; m * n];
         with_thread_cap(1, || {
-            gemm_a_packed(
-                &pa,
-                &b,
-                false,
-                &mut narrow,
-                n,
-                None,
-                Epilogue::Relu { alpha: 0.1 },
-            );
+            gemm_conv_packed_mat(&pa, &b, &mut narrow, n, None, act);
         });
-        assert!(wide
-            .iter()
-            .zip(&narrow)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(same_bits(&wide, &narrow));
     }
 
     #[test]
@@ -1580,9 +1400,7 @@ mod tests {
                 gemm(&a, false, &b, false, &mut narrow, m, k, n, None, false);
             });
             assert!(
-                wide.iter()
-                    .zip(&narrow)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                same_bits(&wide, &narrow),
                 "({m},{k},{n}) not bitwise equal across thread counts"
             );
         }
@@ -1639,9 +1457,7 @@ mod tests {
                     im.pack(&mut virt, p0, kc, j0, nc);
                     pack_b(&mut expl, &cols, false, k, n, p0, kc, j0, nc);
                     assert!(
-                        virt.iter()
-                            .zip(&expl)
-                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        same_bits(&virt, &expl),
                         "c={c_in} h={h} w={w} k={ks} s={stride} p={pad} \
                          panel p0={p0} kc={kc} j0={j0} nc={nc}: pack bytes diverge"
                     );
@@ -1691,10 +1507,7 @@ mod tests {
                 false,
             );
             assert!(
-                implicit
-                    .iter()
-                    .zip(&explicit)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                same_bits(&implicit, &explicit),
                 "co={c_out} ci={c_in} k={ks} s={stride} p={pad}: implicit != explicit"
             );
             // Prepacked-weight implicit path, with a fused epilogue.
@@ -1710,10 +1523,7 @@ mod tests {
             let mut reference = explicit.clone();
             crate::eltwise::relu_decay_slice(&mut reference, 0.0);
             assert!(
-                packed
-                    .iter()
-                    .zip(&reference)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                same_bits(&packed, &reference),
                 "co={c_out} ci={c_in} k={ks}: packed implicit != explicit + act"
             );
         }

@@ -17,14 +17,15 @@
 //! [`with_thread_cap`] lowers the width per-thread for the duration of a
 //! closure, which is how tests compare thread counts within one process.
 //!
-//! Matrix multiplication uses a cache-blocked, packed GEMM ([`gemm`]): a
-//! 4x8 register-tile microkernel over `MC x KC` packed A blocks and
-//! `KC x NC` packed B strips, with transposed operands handled at pack time
-//! so `matmul`, `matmul_nt`, and `matmul_tn` share one kernel. Which
-//! schedule runs for a given shape — direct loops or the blocked kernel,
-//! serial or parallel — is a pure function of the shape
-//! ([`gemm::variant`]), as is the depthwise choice between row-strip SIMD
-//! and scalar ([`depthwise::row_strip`]). The convolution *forward* is an
+//! Matrix multiplication uses a cache-blocked, packed GEMM
+//! ([`gemm`](mod@gemm)): a 4x8 register-tile microkernel over `MC x KC`
+//! packed A blocks and `KC x NC` packed B strips, with transposed operands
+//! handled at pack time so `matmul`, `matmul_nt`, and `matmul_tn` share one
+//! kernel. Every f32 GEMM, whatever its shape, runs that one blocked
+//! schedule; only whether its rows split across the pool depends on the
+//! shape. The depthwise choice between row-strip SIMD and the scalar
+//! reference is likewise a pure function of the shape
+//! ([`depthwise::row_strip`]). The convolution *forward* is an
 //! **implicit GEMM**: the packing loop reads the input image through a
 //! virtual im2col layout, so the `[c_in*kh*kw, ho*wo]` column matrix is
 //! never materialized — only the backward pass still lowers explicitly.
@@ -42,8 +43,10 @@
 //! and compiled execution paths produce bitwise-identical activations.
 //!
 //! **Determinism:** every GEMM output element is produced by exactly one
-//! thread with a fixed k-accumulation order, so matmul results are bitwise
-//! identical for any thread count. Convolution input gradients are
+//! thread with a fixed k-accumulation order that depends only on `k`, so
+//! matmul results are bitwise identical for any thread count, and each
+//! element's bits are independent of how many other rows and columns the
+//! call computes (batch size, strip width). Convolution input gradients are
 //! per-sample and equally thread-count-invariant, and depthwise `dw`/`db`
 //! are channel-owned (fully width-invariant); the dense conv `dw`/`db`
 //! reductions sum per-chunk partials in a fixed chunk order, which is
@@ -88,7 +91,7 @@ pub use depthwise::{
 };
 pub use eltwise::Epilogue;
 pub use error::TensorError;
-pub use gemm::{gemm, gemm_a_packed, gemm_b_packed, PackedA, PackedB, Schedule, Variant};
+pub use gemm::{gemm, gemm_b_packed, PackedA, PackedB};
 pub use matmul::{available_threads, matmul_into};
 pub use pool::{
     avgpool2d, avgpool2d_backward, global_avg_pool, global_avg_pool_backward, maxpool2d,

@@ -2,12 +2,12 @@
 //!
 //! All variants — `matmul`, `matmul_nt`, `matmul_tn`, and the raw
 //! [`matmul_into`] — route through the blocked, packed kernel in
-//! [`crate::gemm`]; transposition is absorbed at pack time, so no transpose
-//! is ever materialized. Which schedule runs for a given `(m, k, n)` is a
-//! pure function of the shape ([`crate::gemm::variant`]). Large problems
-//! are split over row blocks on the persistent worker pool (see
+//! [`crate::gemm`](mod@crate::gemm), whatever the shape; transposition is
+//! absorbed at pack time, so no transpose is ever materialized. Large
+//! problems are split over row blocks on the persistent worker pool (see
 //! [`crate::threadpool`]); the k-accumulation order per output element is
-//! fixed, so results do not depend on the thread count.
+//! fixed, so results depend neither on the thread count nor on the other
+//! rows and columns of the product.
 
 use crate::gemm::gemm;
 use crate::Tensor;

@@ -1,4 +1,5 @@
-//! Int8 quantized GEMM: the inference-only twin of [`crate::gemm`].
+//! Int8 quantized GEMM: the inference-only twin of
+//! [`crate::gemm`](mod@crate::gemm).
 //!
 //! ## Number format
 //!
@@ -21,15 +22,17 @@
 //!
 //! ## Determinism
 //!
-//! Integer accumulation is exact under any order, so *every* variant —
-//! scalar or AVX2, any blocking, any thread width, any column split — emits
-//! identical bits. The quantized plan columns in nb-verify lean on this:
+//! One driver runs every entry point: the AVX2 tile kernel whenever the host
+//! has AVX2 and the scalar kernel otherwise, column-split across the pool
+//! where the f32 GEMM would row-split. Integer accumulation is exact under
+//! any order, so *every* variant — scalar or AVX2, any blocking, any thread
+//! width, any column split — emits identical bits. The quantized plan columns in nb-verify lean on this:
 //! thread-width invariance and serve-vs-solo parity hold bitwise with no
 //! tolerance machinery at all. The only approximation in the whole path is
 //! the quantization itself, which the `+plan-quant` accuracy budget bounds.
 
 use crate::eltwise::Epilogue;
-use crate::gemm::{variant, Schedule, Variant};
+use crate::gemm::parallel;
 use crate::shape::ConvGeometry;
 use crate::threadpool::{self, SharedMut};
 use std::cell::Cell;
@@ -88,7 +91,7 @@ pub fn quantize_activations(x: &[f32], scale: f32, out: &mut [u8]) {
 
 /// A weight matrix quantized per row and prepacked for the i8 kernel.
 ///
-/// Layout: rows are grouped into [`QMR`]-tall slivers, k into [`KQ`]-deep
+/// Layout: rows are grouped into `QMR`-tall slivers, k into `KQ`-deep
 /// quads; `sliv[((ir·kq + q)·QMR + r)·KQ + t]` holds `qw[ir·QMR + r][q·KQ + t]`,
 /// zero-padded past `m` and `k`. Zero k-padding is load-bearing: padded
 /// activation bytes multiply against weight 0, so the packed kernel is exact
@@ -160,8 +163,8 @@ impl QPackedW {
 
     /// Heap bytes held: i8 panels plus the f32 scale and i32 rowsum tables.
     /// This is what plan `packed_bytes` (and therefore the nb-serve LRU
-    /// charge) accounts for a quantized layer — roughly a quarter of the
-    /// f32 [`crate::PackedA`] footprint.
+    /// charge) counts for a quantized layer's weights — roughly a quarter
+    /// of the f32 [`crate::PackedA`] footprint.
     pub fn bytes(&self) -> usize {
         self.sliv.len() + (self.scales.len() + self.rowsums.len()) * 4
     }
@@ -641,22 +644,15 @@ fn with_u8_scratch<R>(len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
     })
 }
 
-/// Output sink for [`qgemm_strips`]: `(offset, width, fill)` hands the
-/// caller a window of `c` to fill, abstracting the serial (`&mut [f32]`)
-/// and column-split parallel (`SharedMut` window) destinations.
-type StripWriter<'a> = &'a (dyn Fn(usize, usize, &mut dyn FnMut(&mut [f32])) + Sync);
-
-/// u8 twin of [`StripWriter`] for the requantizing sink.
-type StripWriterU8<'a> = &'a (dyn Fn(usize, usize, &mut dyn FnMut(&mut [u8])) + Sync);
-
-/// Where [`qgemm_strips`] puts each finished accumulator row.
-enum StripSink<'a> {
+/// Where [`qgemm_strips`] writes each finished accumulator row segment.
+/// Tasks own disjoint column strips, so their segments never overlap.
+enum StripSink {
     /// Dequantize + bias + activation into f32 output rows.
-    F32(StripWriter<'a>),
+    F32(SharedMut<f32>),
     /// Dequantize + bias + activation, then requantize with `1/out_scale`
     /// into u8 rows — byte-for-byte what [`quantize_activations`] over the
     /// f32 sink's output would produce, with the f32 round-trip elided.
-    Requant(StripWriterU8<'a>, f32),
+    Requant(SharedMut<u8>, f32),
 }
 
 /// Computes one strip range `[s0, s1)` of the output: pack each strip, run
@@ -673,7 +669,7 @@ fn qgemm_strips(
     bias: Option<&[f32]>,
     act: Epilogue,
     simd: bool,
-    sink: &StripSink<'_>,
+    sink: &StripSink,
 ) {
     let (m, k) = (wq.m, wq.k);
     let kq = k.div_ceil(KQ);
@@ -706,7 +702,10 @@ fn qgemm_strips(
                     let corr = Q_ZERO as i32 * wq.rowsums[row];
                     let base = bias.map_or(0.0, |b| b[row]);
                     match sink {
-                        StripSink::F32(write) => write(row * n + j0, width, &mut |seg| {
+                        StripSink::F32(out) => {
+                            // Safety: this task owns column strip `s`, so no
+                            // other live window covers this row segment.
+                            let seg = unsafe { out.slice(row * n + j0, width) };
                             #[cfg(target_arch = "x86_64")]
                             if simd && width == QNR {
                                 // Safety: AVX2 detected (simd), and the
@@ -714,38 +713,37 @@ fn qgemm_strips(
                                 unsafe {
                                     qx86::dequant_act_avx2(acc_row, corr, scale, base, act, seg)
                                 };
-                                return;
+                                continue;
                             }
                             for (cv, &a) in seg.iter_mut().zip(acc_row) {
                                 *cv = (a - corr) as f32 * scale + base;
                             }
                             act.apply(seg);
-                        }),
-                        StripSink::Requant(write, out_scale) => {
+                        }
+                        StripSink::Requant(out, out_scale) => {
                             let inv = 1.0 / out_scale;
-                            write(row * n + j0, width, &mut |seg| {
-                                #[cfg(target_arch = "x86_64")]
-                                if simd && width == QNR {
-                                    // Safety: AVX2 detected (simd), and the
-                                    // segment is one full QNR-wide row.
-                                    unsafe {
-                                        qx86::dequant_act_requant_avx2(
-                                            acc_row, corr, scale, base, act, inv, seg,
-                                        )
-                                    };
-                                    return;
-                                }
-                                let mut tmp = [0.0f32; QNR];
-                                for (t, &a) in tmp.iter_mut().zip(acc_row).take(width) {
-                                    *t = (a - corr) as f32 * scale + base;
-                                }
-                                act.apply(&mut tmp[..width]);
-                                for (o, &v) in seg.iter_mut().zip(&tmp) {
-                                    *o = ((v * inv).round_ties_even() as i32 + Q_ZERO as i32)
-                                        .clamp(0, 255)
-                                        as u8;
-                                }
-                            });
+                            // Safety: as for the f32 sink.
+                            let seg = unsafe { out.slice(row * n + j0, width) };
+                            #[cfg(target_arch = "x86_64")]
+                            if simd && width == QNR {
+                                // Safety: AVX2 detected (simd), and the
+                                // segment is one full QNR-wide row.
+                                unsafe {
+                                    qx86::dequant_act_requant_avx2(
+                                        acc_row, corr, scale, base, act, inv, seg,
+                                    )
+                                };
+                                continue;
+                            }
+                            let mut tmp = [0.0f32; QNR];
+                            for (t, &a) in tmp.iter_mut().zip(acc_row).take(width) {
+                                *t = (a - corr) as f32 * scale + base;
+                            }
+                            act.apply(&mut tmp[..width]);
+                            for (o, &v) in seg.iter_mut().zip(&tmp) {
+                                *o = ((v * inv).round_ties_even() as i32 + Q_ZERO as i32)
+                                    .clamp(0, 255) as u8;
+                            }
                         }
                     }
                 }
@@ -754,148 +752,41 @@ fn qgemm_strips(
     })
 }
 
-/// Runs the quantized GEMM `C = act(dequant(QW · B) + bias)` under one
-/// variant. `schedule` picks the scalar (`Direct`) or SIMD (`Blocked`) tile
-/// kernel, and the parallel hint column-splits across the pool. The entry
-/// points pass [`variant`] of the shape; exact integer accumulation makes
-/// every choice bit-identical.
+/// The one driver behind every int8 GEMM entry point:
+/// `C = act(dequant(QW · B) + bias)` into `sink`, whose buffer holds
+/// `wq.m() x n` elements. `simd` runs the AVX2 tile kernel (the entry
+/// points pass it whenever AVX2 is present) or the scalar reference; shapes
+/// the f32 GEMM would row-split are column-split across the pool here.
+/// Exact integer accumulation makes every choice bit-identical.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_qgemm_variant(
-    variant: Variant,
+fn run_qgemm(
     wq: &QPackedW,
     bop: &QBOperand,
-    c: &mut [f32],
+    sink: StripSink,
     n: usize,
     x_scale: f32,
     bias: Option<&[f32]>,
     act: Epilogue,
+    simd: bool,
 ) {
     let m = wq.m;
-    assert_eq!(c.len(), m * n, "qgemm out buffer length");
     if let Some(b) = bias {
         assert_eq!(b.len(), m, "qgemm bias length");
     }
     if m == 0 || n == 0 {
         return;
     }
-    let simd = variant.schedule != Schedule::Direct && use_avx2_kernel();
     let strips = n.div_ceil(QNR);
     let threads = threadpool::num_threads();
-    if variant.parallel && threads > 1 && strips > 1 {
-        let shared = SharedMut::new(c);
+    if parallel(m, wq.k, n) && threads > 1 && strips > 1 {
         let chunks = strips.min(threads * 4);
         threadpool::parallel_for(chunks, &|ci| {
             let s0 = strips * ci / chunks;
             let s1 = strips * (ci + 1) / chunks;
-            let write: StripWriter = &|off, len, fill| {
-                // Safety: each task owns disjoint column ranges, so the
-                // per-row windows never overlap across tasks.
-                fill(unsafe { shared.slice(off, len) })
-            };
-            qgemm_strips(
-                wq,
-                bop,
-                n,
-                s0,
-                s1,
-                x_scale,
-                bias,
-                act,
-                simd,
-                &StripSink::F32(write),
-            );
+            qgemm_strips(wq, bop, n, s0, s1, x_scale, bias, act, simd, &sink);
         });
     } else {
-        let shared = SharedMut::new(c);
-        let write: StripWriter = &|off, len, fill| {
-            // Safety: serial path; windows are used one at a time.
-            fill(unsafe { shared.slice(off, len) })
-        };
-        qgemm_strips(
-            wq,
-            bop,
-            n,
-            0,
-            strips,
-            x_scale,
-            bias,
-            act,
-            simd,
-            &StripSink::F32(write),
-        );
-    }
-}
-
-/// [`run_qgemm_variant`] with the requantizing u8 sink: the dequantized,
-/// biased, activated value is quantized straight back to u8 with
-/// `out_scale` in the register epilogue. Produces byte-for-byte what
-/// [`quantize_activations`] over the f32 variant's output would, without
-/// materializing the f32 intermediate.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_qgemm_variant_requant(
-    variant: Variant,
-    wq: &QPackedW,
-    bop: &QBOperand,
-    c: &mut [u8],
-    n: usize,
-    x_scale: f32,
-    bias: Option<&[f32]>,
-    act: Epilogue,
-    out_scale: f32,
-) {
-    let m = wq.m;
-    assert_eq!(c.len(), m * n, "qgemm requant out buffer length");
-    if let Some(b) = bias {
-        assert_eq!(b.len(), m, "qgemm bias length");
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    let simd = variant.schedule != Schedule::Direct && use_avx2_kernel();
-    let strips = n.div_ceil(QNR);
-    let threads = threadpool::num_threads();
-    if variant.parallel && threads > 1 && strips > 1 {
-        let shared = SharedMut::new(c);
-        let chunks = strips.min(threads * 4);
-        threadpool::parallel_for(chunks, &|ci| {
-            let s0 = strips * ci / chunks;
-            let s1 = strips * (ci + 1) / chunks;
-            let write: StripWriterU8 = &|off, len, fill| {
-                // Safety: each task owns disjoint column ranges, so the
-                // per-row windows never overlap across tasks.
-                fill(unsafe { shared.slice(off, len) })
-            };
-            qgemm_strips(
-                wq,
-                bop,
-                n,
-                s0,
-                s1,
-                x_scale,
-                bias,
-                act,
-                simd,
-                &StripSink::Requant(write, out_scale),
-            );
-        });
-    } else {
-        let shared = SharedMut::new(c);
-        let write: StripWriterU8 = &|off, len, fill| {
-            // Safety: serial path; windows are used one at a time.
-            fill(unsafe { shared.slice(off, len) })
-        };
-        qgemm_strips(
-            wq,
-            bop,
-            n,
-            0,
-            strips,
-            x_scale,
-            bias,
-            act,
-            simd,
-            &StripSink::Requant(write, out_scale),
-        );
+        qgemm_strips(wq, bop, n, 0, strips, x_scale, bias, act, simd, &sink);
     }
 }
 
@@ -911,9 +802,10 @@ pub fn qgemm_conv(
 ) {
     assert_eq!(qim.rows(), wq.k, "qgemm_conv operand inner dimension");
     let n = qim.cols();
+    assert_eq!(c.len(), wq.m * n, "qgemm out buffer length");
     let bop = QBOperand::Im2col(qim);
-    let v = variant(wq.m, wq.k, n);
-    run_qgemm_variant(v, wq, &bop, c, n, x_scale, bias, act);
+    let sink = StripSink::F32(SharedMut::new(c));
+    run_qgemm(wq, &bop, sink, n, x_scale, bias, act, use_avx2_kernel());
 }
 
 /// Quantized pointwise-conv fast path: a 1x1 stride-1 unpadded conv's column
@@ -929,12 +821,13 @@ pub fn qgemm_conv_mat(
     act: Epilogue,
 ) {
     assert_eq!(qx.len(), wq.k * n, "qgemm_conv_mat operand length");
+    assert_eq!(c.len(), wq.m * n, "qgemm out buffer length");
     let bop = QBOperand::Mat {
         b: qx,
         trans: false,
     };
-    let v = variant(wq.m, wq.k, n);
-    run_qgemm_variant(v, wq, &bop, c, n, x_scale, bias, act);
+    let sink = StripSink::F32(SharedMut::new(c));
+    run_qgemm(wq, &bop, sink, n, x_scale, bias, act, use_avx2_kernel());
 }
 
 /// [`qgemm_conv_mat`] that emits its output already quantized with
@@ -942,7 +835,7 @@ pub fn qgemm_conv_mat(
 /// kernel (the fused inverted-residual executor's expand stage). The bytes
 /// equal `qgemm_conv_mat` followed by [`quantize_activations`], with the
 /// f32 intermediate and its extra memory pass elided; both run the same
-/// [`variant`].
+/// driver and tile kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn qgemm_conv_mat_requant(
     wq: &QPackedW,
@@ -955,12 +848,13 @@ pub fn qgemm_conv_mat_requant(
     out_scale: f32,
 ) {
     assert_eq!(qx.len(), wq.k * n, "qgemm_conv_mat_requant operand length");
+    assert_eq!(c.len(), wq.m * n, "qgemm requant out buffer length");
     let bop = QBOperand::Mat {
         b: qx,
         trans: false,
     };
-    let v = variant(wq.m, wq.k, n);
-    run_qgemm_variant_requant(v, wq, &bop, c, n, x_scale, bias, act, out_scale);
+    let sink = StripSink::Requant(SharedMut::new(c), out_scale);
+    run_qgemm(wq, &bop, sink, n, x_scale, bias, act, use_avx2_kernel());
 }
 
 thread_local! {
@@ -988,23 +882,14 @@ pub fn qgemm_linear(
     if rows == 0 || out_f == 0 {
         return;
     }
-    let v = variant(out_f, in_f, rows);
     QGEMM_LINEAR_CT.with(|cell| {
         let mut ct = cell.take();
         if ct.len() < out_f * rows {
             ct.resize(out_f * rows, 0.0);
         }
         let bop = QBOperand::Mat { b: qx, trans: true };
-        run_qgemm_variant(
-            v,
-            wq,
-            &bop,
-            &mut ct[..out_f * rows],
-            rows,
-            x_scale,
-            bias,
-            act,
-        );
+        let sink = StripSink::F32(SharedMut::new(&mut ct[..out_f * rows]));
+        run_qgemm(wq, &bop, sink, rows, x_scale, bias, act, use_avx2_kernel());
         for b in 0..rows {
             for o in 0..out_f {
                 out[b * out_f + o] = ct[o * rows + b];
@@ -1068,31 +953,20 @@ mod tests {
             quantize_activations(&x, x_scale, &mut qx);
             let wq = QPackedW::pack(&w, m, k);
             let bias = fill(m, 13);
-            let run = |sched: Schedule| {
+            let run = |simd: bool| {
                 let mut c = vec![0.0f32; m * n];
-                let v = Variant {
-                    schedule: sched,
-                    parallel: false,
-                };
                 let bop = QBOperand::Mat {
                     b: &qx,
                     trans: false,
                 };
-                run_qgemm_variant(
-                    v,
-                    &wq,
-                    &bop,
-                    &mut c,
-                    n,
-                    x_scale,
-                    Some(&bias),
-                    Epilogue::Relu { alpha: 0.25 },
-                );
+                let sink = StripSink::F32(SharedMut::new(&mut c));
+                let act = Epilogue::Relu { alpha: 0.25 };
+                run_qgemm(&wq, &bop, sink, n, x_scale, Some(&bias), act, simd);
                 c
             };
-            let direct = run(Schedule::Direct);
-            let blocked = run(Schedule::Blocked);
-            assert_eq!(direct, blocked, "scalar vs simd bits at {m}x{k}x{n}");
+            let scalar = run(false);
+            let simd = run(use_avx2_kernel());
+            assert_eq!(scalar, simd, "scalar vs simd bits at {m}x{k}x{n}");
         }
     }
 
@@ -1108,23 +982,7 @@ mod tests {
             let mut qx = vec![0u8; k * n];
             quantize_activations(&x, x_scale, &mut qx);
             let mut c = vec![0.0f32; m * n];
-            let bop = QBOperand::Mat {
-                b: &qx,
-                trans: false,
-            };
-            run_qgemm_variant(
-                Variant {
-                    schedule: Schedule::Blocked,
-                    parallel: false,
-                },
-                &wq,
-                &bop,
-                &mut c,
-                n,
-                x_scale,
-                Some(&bias),
-                Epilogue::None,
-            );
+            qgemm_conv_mat(&wq, &qx, &mut c, n, x_scale, Some(&bias), Epilogue::None);
             assert_eq!(c, expect, "kernel vs reference at {m}x{k}x{n}");
         }
     }
@@ -1142,23 +1000,7 @@ mod tests {
         let mut qx = vec![0u8; k * n];
         quantize_activations(&x, x_scale, &mut qx);
         let mut c = vec![0.0f32; m * n];
-        let bop = QBOperand::Mat {
-            b: &qx,
-            trans: false,
-        };
-        run_qgemm_variant(
-            Variant {
-                schedule: Schedule::Blocked,
-                parallel: false,
-            },
-            &wq,
-            &bop,
-            &mut c,
-            n,
-            x_scale,
-            None,
-            Epilogue::None,
-        );
+        qgemm_conv_mat(&wq, &qx, &mut c, n, x_scale, None, Epilogue::None);
         let max_w = w.iter().fold(0.0f32, |a, &v| a.max(v.abs()));
         let bound = k as f32 * 0.5 * (x_scale * 1.02 * max_w + max_w / QW_MAX as f32 * 0.52);
         for i in 0..m {
@@ -1210,28 +1052,10 @@ mod tests {
         }
         let weights = fill(4 * k, 37);
         let wq = QPackedW::pack(&weights, 4, k);
-        let run = |bop: QBOperand| {
-            let mut c = vec![0.0f32; 4 * n];
-            run_qgemm_variant(
-                Variant {
-                    schedule: Schedule::Blocked,
-                    parallel: false,
-                },
-                &wq,
-                &bop,
-                &mut c,
-                n,
-                x_scale,
-                None,
-                Epilogue::None,
-            );
-            c
-        };
-        let implicit = run(QBOperand::Im2col(&qim));
-        let explicit = run(QBOperand::Mat {
-            b: &cols,
-            trans: false,
-        });
+        let mut implicit = vec![0.0f32; 4 * n];
+        qgemm_conv(&wq, &qim, &mut implicit, x_scale, None, Epilogue::None);
+        let mut explicit = vec![0.0f32; 4 * n];
+        qgemm_conv_mat(&wq, &cols, &mut explicit, n, x_scale, None, Epilogue::None);
         assert_eq!(implicit, explicit, "virtual vs materialized u8 im2col");
     }
 
@@ -1279,28 +1103,14 @@ mod tests {
         let wq = QPackedW::pack(&w, m, k);
         let mut qx = vec![0u8; k * n];
         quantize_activations(&x, x_scale, &mut qx);
-        let run = |parallel: bool| {
-            let mut c = vec![0.0f32; m * n];
-            let bop = QBOperand::Mat {
-                b: &qx,
-                trans: false,
-            };
-            run_qgemm_variant(
-                Variant {
-                    schedule: Schedule::Blocked,
-                    parallel,
-                },
-                &wq,
-                &bop,
-                &mut c,
-                n,
-                x_scale,
-                None,
-                Epilogue::Relu6 { alpha: 0.0 },
-            );
-            c
-        };
-        assert_eq!(run(false), run(true), "serial vs column-split bits");
+        let act = Epilogue::Relu6 { alpha: 0.0 };
+        let mut split = vec![0.0f32; m * n];
+        qgemm_conv_mat(&wq, &qx, &mut split, n, x_scale, None, act);
+        let mut serial = vec![0.0f32; m * n];
+        crate::with_thread_cap(1, || {
+            qgemm_conv_mat(&wq, &qx, &mut serial, n, x_scale, None, act);
+        });
+        assert_eq!(serial, split, "serial vs column-split bits");
     }
 
     #[test]

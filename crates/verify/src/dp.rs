@@ -9,8 +9,7 @@
 //!
 //! 1. **Legacy parity** — with one slice per batch (`grain = 0`),
 //!    `fit_parallel` on any worker count must reproduce the classic
-//!    [`fit`](netbooster_core::fit) run exactly: every parameter bit and
-//!    every epoch-loss bit.
+//!    [`fit`] run exactly: every parameter bit and every epoch-loss bit.
 //! 2. **Worker-count invariance** — with a fixed grain that misaligns
 //!    with the batch size, worker counts 1, 2, and the machine's pool
 //!    width must all land on identical parameter bits.

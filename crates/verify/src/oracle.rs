@@ -14,7 +14,7 @@
 use nb_tensor::{ConvGeometry, Tensor};
 
 /// Reference GEMM with the same signature and epilogue semantics as
-/// [`nb_tensor::gemm`]: `C = A' * B'` where `a_trans`/`b_trans` select the
+/// [`nb_tensor::gemm()`]: `C = A' * B'` where `a_trans`/`b_trans` select the
 /// storage layout of the logical `m x k` / `k x n` operands, `row_init`
 /// seeds every row (bias fusion), and `accumulate` adds onto `c`.
 ///

@@ -93,7 +93,7 @@ impl UlpTolerance {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyBudget {
     /// Largest tolerated accuracy drop, in percentage points (the unit
-    /// [`nb_metrics::Accuracy::top1`] reports; 5.0 = 5 points of top-1).
+    /// `nb_metrics::Accuracy::top1` reports; 5.0 = 5 points of top-1).
     pub max_drop: f32,
 }
 

@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (warnings are errors) =="
+# broken, ambiguous and private intra-doc links fail here, so a deleted or
+# renamed item cannot leave a dangling link in the docs
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo test =="
 cargo test --workspace -q
 
