@@ -2,8 +2,8 @@
 
 use crate::graph::{Graph, Node, Op, Value};
 use nb_tensor::{
-    avgpool2d_backward, conv2d_backward, depthwise_conv2d_backward, global_avg_pool_backward,
-    maxpool2d_backward, Tensor,
+    avgpool2d_backward, conv2d_backward, depthwise_conv2d_backward, eltwise,
+    global_avg_pool_backward, maxpool2d_backward, Tensor,
 };
 
 fn accumulate_into(nodes: &mut [Node], v: Value, g: Tensor) {
@@ -73,22 +73,6 @@ impl Graph {
                     let (a, s) = (*a, *s);
                     accumulate_into(before, a, g.scale(s));
                 }
-                Op::AddBias4(x, bias) => {
-                    let (x, bias) = (*x, *bias);
-                    let (_, c, h, w) = g.shape().nchw();
-                    let gs = g.as_slice();
-                    let db = Tensor::from_fn([c], |ci| {
-                        let mut acc = 0.0;
-                        for (i, &v) in gs.iter().enumerate() {
-                            if (i / (h * w)) % c == ci {
-                                acc += v;
-                            }
-                        }
-                        acc
-                    });
-                    accumulate_into(before, x, g);
-                    accumulate_into(before, bias, db);
-                }
                 Op::AddBias2(x, bias) => {
                     let (x, bias) = (*x, *bias);
                     let (_, f) = g.shape().rc();
@@ -144,35 +128,14 @@ impl Graph {
                     training,
                 } => {
                     let (xv, gammav, betav, training) = (*x, *gamma, *beta, *training);
-                    let (n, c, h, w) = g.shape().nchw();
-                    let m = (n * h * w) as f32;
-                    let xs = before[xv.0].value.as_slice();
-                    let gs = g.as_slice();
-                    let ms = mean.as_slice();
-                    let is = invstd.as_slice();
-                    let gam = before[gammav.0].value.as_slice();
-                    let mut dgamma = vec![0.0f32; c];
-                    let mut dbeta = vec![0.0f32; c];
-                    for (i, &gv) in gs.iter().enumerate() {
-                        let ci = (i / (h * w)) % c;
-                        let xhat = (xs[i] - ms[ci]) * is[ci];
-                        dgamma[ci] += gv * xhat;
-                        dbeta[ci] += gv;
-                    }
-                    let dx = if training {
-                        Tensor::from_fn(g.shape().clone(), |i| {
-                            let ci = (i / (h * w)) % c;
-                            let xhat = (xs[i] - ms[ci]) * is[ci];
-                            gam[ci] * is[ci] / m * (m * gs[i] - dbeta[ci] - xhat * dgamma[ci])
-                        })
-                    } else {
-                        Tensor::from_fn(g.shape().clone(), |i| {
-                            let ci = (i / (h * w)) % c;
-                            gs[i] * gam[ci] * is[ci]
-                        })
-                    };
-                    let dgamma = Tensor::from_vec(dgamma, [c]).expect("dgamma shape");
-                    let dbeta = Tensor::from_vec(dbeta, [c]).expect("dbeta shape");
+                    let (dx, dgamma, dbeta) = eltwise::bn_backward(
+                        &before[xv.0].value,
+                        &g,
+                        &before[gammav.0].value,
+                        mean,
+                        invstd,
+                        training,
+                    );
                     accumulate_into(before, xv, dx);
                     accumulate_into(before, gammav, dgamma);
                     accumulate_into(before, betav, dbeta);

@@ -57,8 +57,6 @@ pub(crate) enum Op {
     Mul(Value, Value),
     /// `a * scalar`.
     Scale(Value, f32),
-    /// `x + bias` with `bias` broadcast over `[n, c, h, w]` channels.
-    AddBias4(Value, Value),
     /// `x + bias` with `bias` broadcast over `[n, f]` rows.
     AddBias2(Value, Value),
     /// `x [n,in] * w[out,in]^T` (the Linear layer product).

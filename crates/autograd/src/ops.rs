@@ -57,18 +57,6 @@ impl Graph {
         self.push(out, Op::Scale(a, s), rg)
     }
 
-    /// Adds a `[c]` bias across the channels of an `[n,c,h,w]` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not rank 4 or `bias` is not `[c]`.
-    pub fn add_bias4(&mut self, x: Value, bias: Value) -> Value {
-        let mut out = self.value(x).clone();
-        eltwise::add_bias4_inplace(&mut out, self.value(bias));
-        let rg = self.wants_grad(x) || self.wants_grad(bias);
-        self.push(out, Op::AddBias4(x, bias), rg)
-    }
-
     /// Adds an `[f]` bias across the rows of an `[n,f]` value.
     ///
     /// # Panics
@@ -129,26 +117,7 @@ impl Graph {
         beta: Value,
         eps: f32,
     ) -> (Value, BnBatchStats) {
-        let (n, c, h, w) = self.value(x).shape().nchw();
-        let m = (n * h * w) as f64;
-        let xs = self.value(x).as_slice();
-        let mut mean = vec![0.0f64; c];
-        let mut var = vec![0.0f64; c];
-        for i in 0..xs.len() {
-            mean[(i / (h * w)) % c] += xs[i] as f64;
-        }
-        for v in &mut mean {
-            *v /= m;
-        }
-        for i in 0..xs.len() {
-            let d = xs[i] as f64 - mean[(i / (h * w)) % c];
-            var[(i / (h * w)) % c] += d * d;
-        }
-        for v in &mut var {
-            *v /= m;
-        }
-        let mean_t = Tensor::from_fn([c], |i| mean[i] as f32);
-        let var_t = Tensor::from_fn([c], |i| var[i] as f32);
+        let (mean_t, var_t) = eltwise::bn_batch_stats(self.value(x));
         let invstd = eltwise::bn_invstd(&var_t, eps);
         let out = self.bn_forward(x, gamma, beta, &mean_t, &invstd);
         let rg = self.wants_grad(x) || self.wants_grad(gamma) || self.wants_grad(beta);
@@ -306,18 +275,6 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn add_bias4_broadcasts() {
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::zeros([1, 2, 2, 2]), false);
-        let b = g.leaf(Tensor::from_vec(vec![1.0, 2.0], [2]).unwrap(), false);
-        let y = g.add_bias4(x, b);
-        assert_eq!(
-            g.value(y).as_slice(),
-            &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
-        );
-    }
 
     #[test]
     fn relu_decay_endpoints() {

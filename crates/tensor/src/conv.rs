@@ -504,11 +504,13 @@ pub fn conv2d_pointwise_mat_into(
     gemm_conv_packed_mat(pa, x, out, n, bias, act);
 }
 
-/// Serial depthwise backward for one channel across every sample. Kept as a
-/// plain function (outside the worker closure) so the hot loops compile
-/// against ordinary slice parameters. `dims` is `(c, h, w, ho, wo)` and
-/// `kj_ranges[oj]` holds the in-bounds kernel-column range for output column
-/// `oj` (precomputed once: it depends only on the geometry).
+/// Serial depthwise backward for one channel across every sample: the
+/// register kernels for the geometries models train ([`dw_backward_channel_1x1`],
+/// [`dw_backward_channel_3x3`]), the general per-pixel loop
+/// ([`dw_backward_channel_generic`]) for the rest. All three produce the
+/// same bits. `dims` is `(c, h, w, ho, wo)` and `kj_ranges[oj]` holds the
+/// in-bounds kernel-column range for output column `oj`. Returns the
+/// channel's bias gradient.
 #[allow(clippy::too_many_arguments)]
 fn dw_backward_channel(
     ci: usize,
@@ -521,9 +523,33 @@ fn dw_backward_channel(
     geom: ConvGeometry,
     kj_ranges: &[(usize, usize)],
 ) -> f32 {
-    if geom.kh == 3 && geom.kw == 3 && geom.sh == 1 && geom.sw == 1 {
-        return dw_backward_channel_3x3(ci, xs, dys, shared_dx, ker, dker, dims, geom, kj_ranges);
+    match (geom.kh, geom.kw) {
+        (1, 1) if (geom.sh, geom.sw, geom.ph, geom.pw) == (1, 1, 0, 0) => {
+            dw_backward_channel_1x1(ci, xs, dys, shared_dx, ker, dker, dims)
+        }
+        (3, 3) => dw_backward_channel_3x3(ci, xs, dys, shared_dx, ker, dker, dims, geom, kj_ranges),
+        _ => dw_backward_channel_generic(ci, xs, dys, shared_dx, ker, dker, dims, geom, kj_ranges),
     }
+}
+
+/// The general depthwise backward for one channel: every output pixel
+/// visits its in-bounds taps in `(ki, kj)` order, samples and pixels in
+/// row-major order, skipping zero upstream gradients. This order is the
+/// bit contract the register kernels reproduce, and the reference their
+/// tests compare against. Kept as a plain function (outside the worker
+/// closure) so the hot loops compile against ordinary slice parameters.
+#[allow(clippy::too_many_arguments)]
+fn dw_backward_channel_generic(
+    ci: usize,
+    xs: &[f32],
+    dys: &[f32],
+    shared_dx: &SharedMut<f32>,
+    ker: &[f32],
+    dker: &mut [f32],
+    dims: (usize, usize, usize, usize, usize),
+    geom: ConvGeometry,
+    kj_ranges: &[(usize, usize)],
+) -> f32 {
     let (c, h, wd, ho, wo) = dims;
     let n = xs.len() / (c * h * wd);
     let mut db_acc = 0.0f32;
@@ -564,8 +590,48 @@ fn dw_backward_channel(
     db_acc
 }
 
-/// [`dw_backward_channel`] specialized for the ubiquitous 3x3 / stride-1
-/// case. The nine taps are fully unrolled with the weights and the weight
+/// [`dw_backward_channel_generic`] for the 1x1, stride-1, unpadded kernel
+/// NetBooster's expansion inserts: output pixel `i` touches input pixel `i`
+/// alone, so one pass over each plane runs the single tap, with the weight
+/// and bias gradients held in registers instead of read-modify-written
+/// through `dker`. Same order, same zero skip, same bits.
+fn dw_backward_channel_1x1(
+    ci: usize,
+    xs: &[f32],
+    dys: &[f32],
+    shared_dx: &SharedMut<f32>,
+    ker: &[f32],
+    dker: &mut [f32],
+    dims: (usize, usize, usize, usize, usize),
+) -> f32 {
+    let (c, h, wd, _, _) = dims;
+    let hw = h * wd;
+    let n = xs.len() / (c * hw);
+    let k = ker[0];
+    let (mut dk, mut db_acc) = (0.0f32, 0.0f32);
+    for ni in 0..n {
+        let off = (ni * c + ci) * hw;
+        // Safety: plane (ni, ci) is written only by channel ci's task.
+        let dplane = unsafe { shared_dx.slice(off, hw) };
+        let planes = dplane
+            .iter_mut()
+            .zip(&xs[off..off + hw])
+            .zip(&dys[off..off + hw]);
+        for ((d, &xv), &g) in planes {
+            if g == 0.0 {
+                continue;
+            }
+            db_acc += g;
+            dk += g * xv;
+            *d += g * k;
+        }
+    }
+    dker[0] = dk;
+    db_acc
+}
+
+/// [`dw_backward_channel_generic`] specialized for 3x3 kernels at any
+/// stride. The nine taps are fully unrolled with the weights and the weight
 /// gradient held in scalar locals, so `dw` accumulation stays in registers
 /// instead of read-modify-writing `dker` through memory nine times per
 /// output pixel — the dominant cost of the general loop on one thread.
@@ -588,7 +654,7 @@ fn dw_backward_channel_3x3(
     kj_ranges: &[(usize, usize)],
 ) -> f32 {
     let (c, h, wd, ho, wo) = dims;
-    let (ph, pw) = (geom.ph, geom.pw);
+    let (sh, sw, ph, pw) = (geom.sh, geom.sw, geom.ph, geom.pw);
     let n = xs.len() / (c * h * wd);
     let &[k0, k1, k2, k3, k4, k5, k6, k7, k8] = ker else {
         unreachable!("3x3 kernel slice")
@@ -596,18 +662,18 @@ fn dw_backward_channel_3x3(
     let (mut d0, mut d1, mut d2, mut d3, mut d4) = (0.0f32, 0.0f32, 0.0f32, 0.0f32, 0.0f32);
     let (mut d5, mut d6, mut d7, mut d8) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
     let mut db_acc = 0.0f32;
-    // Output columns whose full 3-tap window is interior: oj >= pw and
-    // oj - pw + 2 < wd.
-    let int_lo = pw.min(wo);
-    let int_hi = (wd + pw).saturating_sub(2).min(wo).max(int_lo);
+    // Output columns whose full 3-tap window is interior:
+    // oj*sw >= pw and oj*sw - pw + 2 < wd.
+    let int_lo = crate::depthwise::interior_lo(pw, sw, wo);
+    let int_hi = crate::depthwise::interior_hi(wd, pw, 3, sw, wo, int_lo);
     for ni in 0..n {
         let plane = &xs[(ni * c + ci) * h * wd..(ni * c + ci + 1) * h * wd];
         let dy_plane = &dys[(ni * c + ci) * ho * wo..(ni * c + ci + 1) * ho * wo];
         // Safety: plane (ni, ci) is written only by channel ci's task.
         let dplane = unsafe { shared_dx.slice((ni * c + ci) * h * wd, h * wd) };
         for oi in 0..ho {
-            let ki_lo = ph.saturating_sub(oi);
-            let ki_hi = (h + ph).saturating_sub(oi).min(3);
+            let ki_lo = ph.saturating_sub(oi * sh);
+            let ki_hi = (h + ph).saturating_sub(oi * sh).min(3);
             let dy_row = &dy_plane[oi * wo..(oi + 1) * wo];
             // All nine taps, each behind its in-bounds guard; used for every
             // pixel outside the fully interior fast path below.
@@ -621,7 +687,7 @@ fn dw_backward_channel_3x3(
                         macro_rules! tap {
                             ($ki:expr, $kj:expr, $dk:ident, $kw:ident) => {
                                 if ki_lo <= $ki && $ki < ki_hi && kj_lo <= $kj && $kj < kj_hi {
-                                    let idx = (oi + $ki - ph) * wd + (oj + $kj - pw);
+                                    let idx = (oi * sh + $ki - ph) * wd + (oj * sw + $kj - pw);
                                     $dk += g * plane[idx];
                                     dplane[idx] += g * $kw;
                                 }
@@ -640,7 +706,7 @@ fn dw_backward_channel_3x3(
                 }};
             }
             if ki_lo == 0 && ki_hi == 3 {
-                let i0 = oi - ph;
+                let i0 = oi * sh - ph;
                 for oj in 0..int_lo {
                     guarded_taps!(oj);
                 }
@@ -649,7 +715,7 @@ fn dw_backward_channel_3x3(
                         continue;
                     }
                     db_acc += g;
-                    let j0 = oj - pw;
+                    let j0 = oj * sw - pw;
                     let x0 = &plane[i0 * wd + j0..i0 * wd + j0 + 3];
                     let x1 = &plane[(i0 + 1) * wd + j0..(i0 + 1) * wd + j0 + 3];
                     let x2 = &plane[(i0 + 2) * wd + j0..(i0 + 2) * wd + j0 + 3];
@@ -689,6 +755,18 @@ fn dw_backward_channel_3x3(
     db_acc
 }
 
+/// In-bounds kernel-column range per output column, shared by every
+/// channel: `kj` must satisfy `0 <= oj*sw + kj - pw < w`.
+fn dw_kj_ranges(geom: ConvGeometry, w: usize, wo: usize) -> Vec<(usize, usize)> {
+    (0..wo)
+        .map(|oj| {
+            let lo = geom.pw.saturating_sub(oj * geom.sw);
+            let hi = (w + geom.pw).saturating_sub(oj * geom.sw).min(geom.kw);
+            (lo, hi.max(lo))
+        })
+        .collect()
+}
+
 /// Gradients of [`depthwise_conv2d`]; returns `(dx, dw, db)`.
 ///
 /// Parallelizes over *channels*: depthwise gradients never mix channels, so
@@ -717,15 +795,7 @@ pub fn depthwise_conv2d_backward(
     let mut dx = Tensor::zeros(x.shape().clone());
     let mut dw = Tensor::zeros(w.shape().clone());
     let mut db = Tensor::zeros([c]);
-    // In-bounds kernel-column range per output column, shared by every
-    // channel: kj must satisfy 0 <= oj*sw + kj - pw < w.
-    let kj_ranges: Vec<(usize, usize)> = (0..wo)
-        .map(|oj| {
-            let lo = geom.pw.saturating_sub(oj * geom.sw);
-            let hi = (wd + geom.pw).saturating_sub(oj * geom.sw).min(geom.kw);
-            (lo, hi.max(lo))
-        })
-        .collect();
+    let kj_ranges = dw_kj_ranges(geom, wd, wo);
     let shared_dx = SharedMut::new(dx.as_mut_slice());
     let shared_dw = SharedMut::new(dw.as_mut_slice());
     let shared_db = SharedMut::new(db.as_mut_slice());
@@ -1042,6 +1112,86 @@ mod tests {
                     .all(|(u, v)| u.to_bits() == v.to_bits()),
                 "{name} not width-invariant"
             );
+        }
+    }
+
+    /// [`depthwise_conv2d_backward`] with every channel forced through the
+    /// general per-pixel loop: the reference for the register kernels.
+    fn dw_backward_generic_ref(
+        x: &Tensor,
+        w: &Tensor,
+        dy: &Tensor,
+        geom: ConvGeometry,
+    ) -> (Tensor, Tensor, Tensor) {
+        let (_, c, h, wd, ho, wo) = dw_shapes(x, w, geom);
+        let ker_sz = geom.kh * geom.kw;
+        let kj_ranges = dw_kj_ranges(geom, wd, wo);
+        let mut dx = Tensor::zeros(x.shape().clone());
+        let mut dw = Tensor::zeros(w.shape().clone());
+        let mut db = Tensor::zeros([c]);
+        let shared_dx = SharedMut::new(dx.as_mut_slice());
+        for ci in 0..c {
+            db.as_mut_slice()[ci] = dw_backward_channel_generic(
+                ci,
+                x.as_slice(),
+                dy.as_slice(),
+                &shared_dx,
+                &w.as_slice()[ci * ker_sz..(ci + 1) * ker_sz],
+                &mut dw.as_mut_slice()[ci * ker_sz..(ci + 1) * ker_sz],
+                (c, h, wd, ho, wo),
+                geom,
+                &kj_ranges,
+            );
+        }
+        (dx, dw, db)
+    }
+
+    #[test]
+    fn depthwise_backward_register_kernels_match_generic_loop_bitwise() {
+        use crate::threadpool::with_thread_cap;
+        let mut rng = StdRng::seed_from_u64(22);
+        for (k, s, p) in [
+            (1usize, 1usize, 0usize),
+            (3, 1, 0),
+            (3, 1, 1),
+            (3, 2, 0),
+            (3, 2, 1),
+        ] {
+            let geom = ConvGeometry::square(k, s, p);
+            for (h, wd) in [(1usize, 1usize), (1, 5), (3, 3), (4, 7), (9, 9), (12, 11)] {
+                if h + 2 * p < k || wd + 2 * p < k {
+                    continue;
+                }
+                let (ho, wo) = geom.output_hw(h, wd);
+                let x = Tensor::randn([3, 4, h, wd], &mut rng);
+                let w = Tensor::randn([4, k, k], &mut rng);
+                // zeros exercise the zero-gradient skip
+                let mut dy = Tensor::randn([3, 4, ho, wo], &mut rng);
+                for (i, v) in dy.as_mut_slice().iter_mut().enumerate() {
+                    if i % 4 == 1 {
+                        *v = 0.0;
+                    }
+                }
+                let (wdx, wdw, wdb) = dw_backward_generic_ref(&x, &w, &dy, geom);
+                for width in [1, 2] {
+                    let (dx, dw, db) = with_thread_cap(width, || {
+                        depthwise_conv2d_backward(&x, &w, &dy, geom, true)
+                    });
+                    for (name, got, want) in [
+                        ("dx", &dx, &wdx),
+                        ("dw", &dw, &wdw),
+                        ("db", db.as_ref().unwrap(), &wdb),
+                    ] {
+                        assert!(
+                            got.as_slice()
+                                .iter()
+                                .zip(want.as_slice())
+                                .all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "k{k} s{s} p{p} {h}x{wd} width {width}: {name} differs"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -33,7 +33,10 @@
 //! models actually use — 3x3 and 5x5 at stride 1 and 2. [`row_strip`], a
 //! pure function of the shape, decides whether a layer runs them or the
 //! scalar reference. Since the two produce identical bits, the choice is
-//! purely a speed decision.
+//! purely a speed decision. The 1x1, stride-1, unpadded kernel that
+//! NetBooster's expansion inserts runs one `bias + x * k` pass on either
+//! side of that choice: it is the scalar reference's expression for one
+//! tap.
 
 use crate::eltwise::Epilogue;
 use crate::qgemm::{QW_MAX, Q_ZERO};
@@ -94,13 +97,20 @@ fn dw_cols_scalar(
 }
 
 /// First output column whose taps are all horizontally in bounds.
-fn interior_lo(pw: usize, sw: usize, wo: usize) -> usize {
+pub(crate) fn interior_lo(pw: usize, sw: usize, wo: usize) -> usize {
     pw.div_ceil(sw).min(wo)
 }
 
 /// One past the last output column whose taps are all horizontally in
 /// bounds (clamped to `[lo, wo]`).
-fn interior_hi(w: usize, pw: usize, kw: usize, sw: usize, wo: usize, lo: usize) -> usize {
+pub(crate) fn interior_hi(
+    w: usize,
+    pw: usize,
+    kw: usize,
+    sw: usize,
+    wo: usize,
+    lo: usize,
+) -> usize {
     let hi = if w + pw >= kw {
         (w + pw - kw) / sw + 1
     } else {
@@ -127,7 +137,10 @@ fn have_avx2() -> bool {
 /// output rows read (full planes pass `h0 = 0`). `out` is the
 /// `(o1 - o0) * wo` destination. `simd` selects the AVX2 fast path when the
 /// geometry has one (3x3 / 5x5, stride 1 / 2); the result is bitwise
-/// identical either way — see the module docs.
+/// identical either way — see the module docs. A 1x1, stride-1, unpadded
+/// kernel (the layer NetBooster's expansion inserts) runs one
+/// `bias + x * k` pass over the rows whatever `simd` says: that is the
+/// scalar reference's expression for a single tap.
 ///
 /// # Panics
 ///
@@ -154,6 +167,15 @@ pub fn dw_channel_rows(
     );
     assert_eq!(out.len(), (o1 - o0) * wo, "dw_channel_rows output length");
     assert_eq!(plane.len() % w, 0, "dw_channel_rows plane length");
+    if geom.kh == 1 && geom.kw == 1 && (geom.sh, geom.sw, geom.ph, geom.pw) == (1, 1, 0, 0) {
+        // Output row oi reads input row oi, and wo == w.
+        let k = ker[0];
+        let rows = &plane[(o0 - h0) * w..(o1 - h0) * w];
+        for (o, &xv) in out.iter_mut().zip(rows) {
+            *o = bv + xv * k;
+        }
+        return;
+    }
     #[cfg(target_arch = "x86_64")]
     if simd && have_avx2() {
         // Safety: AVX2 presence checked at runtime just above.
@@ -1100,6 +1122,51 @@ mod tests {
                         "f32 dw mismatch geom {geom:?} h{h} w{w} at {i}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn f32_1x1_loop_matches_scalar_reference_bitwise() {
+        let geom = ConvGeometry::pointwise();
+        for &(h, w) in &[(1usize, 1usize), (3, 5), (7, 8), (16, 16)] {
+            let plane = fill(h * w, 0x11);
+            let ker = [fill(1, 0x22)[0]];
+            for bv in [0.0f32, -0.375] {
+                let mut want = vec![0.0f32; h * w];
+                for oi in 0..h {
+                    let row = &mut want[oi * w..(oi + 1) * w];
+                    dw_cols_scalar(&plane, 0, h, w, &ker, geom, bv, oi, 0, w, row);
+                }
+                // the full plane, and one strip of rows [1, h) read from a
+                // window that starts at row 1
+                let mut got = vec![0.0f32; h * w];
+                dw_channel_rows(&plane, 0, h, w, &ker, bv, geom, w, 0, h, &mut got, false);
+                let mut strip = vec![0.0f32; (h - 1) * w];
+                dw_channel_rows(
+                    &plane[w..],
+                    1,
+                    h,
+                    w,
+                    &ker,
+                    bv,
+                    geom,
+                    w,
+                    1,
+                    h,
+                    &mut strip,
+                    true,
+                );
+                assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "1x1 h{h} w{w} bias {bv}"
+                );
+                assert_eq!(
+                    strip.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want[w..].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "1x1 strip h{h} w{w} bias {bv}"
+                );
             }
         }
     }

@@ -39,8 +39,9 @@
 //! `reshape` are O(1) buffer shares, and a shared buffer is copied only at
 //! the first mutation. This is what makes parameter binding on the autograd
 //! tape clone-free. The shared elementwise forward kernels in [`eltwise`]
-//! are the single source of truth for pointwise layer math, so the taped
-//! and compiled execution paths produce bitwise-identical activations.
+//! are the single source of truth for pointwise layer math and batch norm,
+//! so the taped and compiled execution paths produce bitwise-identical
+//! activations.
 //!
 //! **Determinism:** every GEMM output element is produced by exactly one
 //! thread with a fixed k-accumulation order that depends only on `k`, so
@@ -48,7 +49,8 @@
 //! element's bits are independent of how many other rows and columns the
 //! call computes (batch size, strip width). Convolution input gradients are
 //! per-sample and equally thread-count-invariant, and depthwise `dw`/`db`
-//! are channel-owned (fully width-invariant); the dense conv `dw`/`db`
+//! and the batch-norm statistics and gradients ([`eltwise`]) are
+//! channel-owned (fully width-invariant); the dense conv `dw`/`db`
 //! reductions sum per-chunk partials in a fixed chunk order, which is
 //! deterministic for a given pool width (run-to-run) but may round
 //! differently across widths.

@@ -10,7 +10,9 @@
 
 use nb_verify::audit::run_audit_suite;
 use nb_verify::concurrent::run_concurrent_suite;
-use nb_verify::diff::{run_conv_suite, run_depthwise_suite, run_gemm_suite, run_pool_suite};
+use nb_verify::diff::{
+    run_batchnorm_suite, run_conv_suite, run_depthwise_suite, run_gemm_suite, run_pool_suite,
+};
 use nb_verify::dp::run_dp_suite;
 use nb_verify::parity::run_parity_suite;
 use nb_verify::quant::run_quant_suite;
@@ -43,6 +45,7 @@ fn main() {
         ("conv", run_conv_suite(fast)),
         ("depthwise", run_depthwise_suite(fast)),
         ("pool", run_pool_suite(fast)),
+        ("batchnorm", run_batchnorm_suite(fast)),
     ] {
         println!("[diff:{name}] {}", report.summary_line());
         if !report.pass() {

@@ -7,10 +7,10 @@
 //! widths via [`nb_tensor::with_thread_cap`]. Outputs are compared to the
 //! f64 oracles under [`UlpTolerance`] bounds scaled with the reduction
 //! length, and (where the tensor crate documents bitwise thread-count
-//! invariance: GEMM, conv forward, conv `dx`) results at every width are
-//! additionally required to be *identical* to the width-1 result. The
-//! `dw`/`db` reductions are documented to round differently across widths,
-//! so they face only the oracle bound.
+//! invariance: GEMM, conv forward, conv `dx`, batch norm) results at every
+//! width are additionally required to be *identical* to the width-1
+//! result. The dense conv `dw`/`db` reductions are documented to round
+//! differently across widths, so they face only the oracle bound.
 //!
 //! The grids are deterministic (seeded per case), so a failure reproduces.
 
@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 /// One comparison outcome: a kernel, a shape/variant, a thread width.
 #[derive(Debug, Clone)]
 pub struct CaseResult {
-    /// Suite name (`gemm`, `conv`, `depthwise`, `pool`).
+    /// Suite name (`gemm`, `conv`, `depthwise`, `pool`, `batchnorm`).
     pub suite: &'static str,
     /// Human-readable shape/variant description.
     pub case: String,
@@ -468,12 +468,105 @@ pub fn run_pool_suite(fast: bool) -> DiffReport {
     report
 }
 
+/// Sweeps the batch-norm kernels against the oracles: the training
+/// forward (batch mean, biased variance, normalize) and the backward
+/// (`dx`, `dgamma`, `dbeta`) in training and eval mode. Every output rests
+/// on a reduction over the `n * h * w` elements of its channel, so that is
+/// the bound's reduction length. Each channel's sums have one owner, so
+/// every output must also equal the width-1 result bit for bit.
+pub fn run_batchnorm_suite(fast: bool) -> DiffReport {
+    // (n, c, h, w)
+    let mut shapes: Vec<(usize, usize, usize, usize)> = vec![
+        (1, 1, 1, 1),  // one element: zero variance
+        (2, 3, 1, 1),  // 1x1 planes
+        (1, 4, 7, 7),  // one whole channel group
+        (3, 5, 4, 4),  // a group and a remainder channel
+        (2, 13, 8, 8), // remainder channels after three groups
+    ];
+    if !fast {
+        shapes.extend([(4, 8, 16, 16), (1, 1, 32, 32), (8, 32, 4, 4)]);
+    }
+    let eps = 1e-5;
+    let mut report = DiffReport::default();
+    for (si, &(n, c, h, w)) in shapes.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(0xB40 ^ (si as u64));
+        let x = uniform_tensor(&mut rng, &[n, c, h, w]);
+        let dy = uniform_tensor(&mut rng, &[n, c, h, w]);
+        let gamma = uniform_tensor(&mut rng, &[c]);
+        let beta = uniform_tensor(&mut rng, &[c]);
+        let run_mean = uniform_tensor(&mut rng, &[c]);
+        let run_var = Tensor::from_vec(uniform(&mut rng, c), [c])
+            .expect("running variance shape")
+            .map(|v| v.abs() + 0.1);
+        let run_invstd = nt::eltwise::bn_invstd(&run_var, eps);
+        let (want_mean, want_var) = oracle::bn_batch_stats_ref(&x);
+        let want_y = oracle::bn_normalize_ref(&x, &gamma, &beta, &want_mean, &want_var, eps);
+        let want_eval = oracle::bn_backward_ref(&x, &dy, &gamma, &run_mean, &run_invstd, false);
+        let case = format!("n{n} c{c} {h}x{w}");
+        let tol = UlpTolerance::for_reduction(n * h * w);
+        let mut first: Option<Vec<Vec<f32>>> = None;
+        for cap in thread_widths() {
+            let (mean, var, invstd, y, train, eval) = nt::with_thread_cap(cap, || {
+                let (mean, var) = nt::eltwise::bn_batch_stats(&x);
+                let invstd = nt::eltwise::bn_invstd(&var, eps);
+                let mut y = x.clone();
+                nt::eltwise::bn_apply_inplace(&mut y, &gamma, &beta, &mean, &invstd);
+                let train = nt::eltwise::bn_backward(&x, &dy, &gamma, &mean, &invstd, true);
+                let eval = nt::eltwise::bn_backward(&x, &dy, &gamma, &run_mean, &run_invstd, false);
+                (mean, var, invstd, y, train, eval)
+            });
+            // the training oracle differentiates at the statistics the
+            // kernel normalized with
+            let want_train = oracle::bn_backward_ref(&x, &dy, &gamma, &mean, &invstd, true);
+            let want_stats = |v: &[f64]| v.iter().map(|&s| s as f32).collect::<Vec<_>>();
+            let got: Vec<(&str, &Tensor, Vec<f32>)> = vec![
+                ("mean", &mean, want_stats(&want_mean)),
+                ("var", &var, want_stats(&want_var)),
+                ("normalize", &y, want_y.as_slice().to_vec()),
+                ("train dx", &train.0, want_train.0.as_slice().to_vec()),
+                ("train dgamma", &train.1, want_train.1.as_slice().to_vec()),
+                ("train dbeta", &train.2, want_train.2.as_slice().to_vec()),
+                ("eval dx", &eval.0, want_eval.0.as_slice().to_vec()),
+                ("eval dgamma", &eval.1, want_eval.1.as_slice().to_vec()),
+                ("eval dbeta", &eval.2, want_eval.2.as_slice().to_vec()),
+            ];
+            for (name, g, want) in &got {
+                report.compare(
+                    "batchnorm",
+                    format!("{case} {name}"),
+                    cap,
+                    g.as_slice(),
+                    want,
+                    &tol,
+                );
+            }
+            match &first {
+                None => first = Some(got.iter().map(|(_, g, _)| g.as_slice().to_vec()).collect()),
+                Some(f) => {
+                    for ((name, g, _), f) in got.iter().zip(f) {
+                        report.compare(
+                            "batchnorm",
+                            format!("{case} {name} [bitwise vs width-1]"),
+                            cap,
+                            g.as_slice(),
+                            f,
+                            &UlpTolerance::exact(),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    report
+}
+
 /// Runs every differential suite and merges the reports.
 pub fn run_all_suites(fast: bool) -> DiffReport {
     let mut report = run_gemm_suite(fast);
     report.merge(run_conv_suite(fast));
     report.merge(run_depthwise_suite(fast));
     report.merge(run_pool_suite(fast));
+    report.merge(run_batchnorm_suite(fast));
     report
 }
 
@@ -491,6 +584,13 @@ mod tests {
     #[test]
     fn pool_suite_fast_passes() {
         let r = run_pool_suite(true);
+        assert!(r.pass(), "{}", r.render_failures());
+    }
+
+    #[test]
+    fn batchnorm_suite_fast_passes() {
+        let r = run_batchnorm_suite(true);
+        assert!(!r.cases.is_empty());
         assert!(r.pass(), "{}", r.render_failures());
     }
 

@@ -7,7 +7,7 @@
 //! 1. **Differential oracles** ([`oracle`], [`diff`]) — naive, obviously
 //!    correct f64 re-implementations of every hot kernel (GEMM in all
 //!    transpose/epilogue variants, dense and depthwise convolution forward
-//!    and backward, pooling), plus a fuzz driver that sweeps edge-shape
+//!    and backward, pooling, batch norm), plus a fuzz driver that sweeps edge-shape
 //!    grids against the fast kernels at several thread-pool widths under
 //!    ULP-bounded tolerances ([`tolerance`]).
 //! 2. **Contraction exactness audit** ([`audit`]) — for any

@@ -405,6 +405,92 @@ pub fn avgpool2d_backward_ref(
     Tensor::from_fn([n, c, h, w], |i| dx[i] as f32)
 }
 
+/// Reference training-mode batch statistics of an `[n, c, h, w]` tensor:
+/// per channel, the mean and the *biased* variance over its `n * h * w`
+/// elements, in f64.
+pub fn bn_batch_stats_ref(x: &Tensor) -> (Vec<f64>, Vec<f64>) {
+    let (n, c, h, w) = x.shape().nchw();
+    let xs = x.as_slice();
+    let m = (n * h * w) as f64;
+    let channel = |ci: usize| {
+        (0..n).flat_map(move |ni| {
+            xs[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w]
+                .iter()
+                .map(|&v| f64::from(v))
+        })
+    };
+    let mean: Vec<f64> = (0..c).map(|ci| channel(ci).sum::<f64>() / m).collect();
+    let var = (0..c)
+        .map(|ci| channel(ci).map(|v| (v - mean[ci]).powi(2)).sum::<f64>() / m)
+        .collect();
+    (mean, var)
+}
+
+/// Reference batch-norm normalize of an `[n, c, h, w]` tensor:
+/// `gamma * (x - mean) / sqrt(var + eps) + beta` per channel, in f64.
+pub fn bn_normalize_ref(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    mean: &[f64],
+    var: &[f64],
+    eps: f32,
+) -> Tensor {
+    let (_, c, h, w) = x.shape().nchw();
+    let (g, b) = (gamma.as_slice(), beta.as_slice());
+    let xs = x.as_slice();
+    Tensor::from_fn(x.shape().clone(), |i| {
+        let ci = i / (h * w) % c;
+        let xhat = (f64::from(xs[i]) - mean[ci]) / (var[ci] + f64::from(eps)).sqrt();
+        (f64::from(g[ci]) * xhat + f64::from(b[ci])) as f32
+    })
+}
+
+/// Reference batch-norm backward over an `[n, c, h, w]` input normalized
+/// with per-channel `mean` and `invstd`; returns `(dx, dgamma, dbeta)`, in
+/// f64. With `xhat = (x - mean) * invstd` and `m = n * h * w`:
+/// `dbeta = sum(dy)`, `dgamma = sum(dy * xhat)`, and `dx` differentiates
+/// through the batch statistics in training mode,
+/// `gamma * invstd / m * (m * dy - dbeta - xhat * dgamma)`, or treats them
+/// as constants in eval mode, `dy * gamma * invstd`.
+pub fn bn_backward_ref(
+    x: &Tensor,
+    dy: &Tensor,
+    gamma: &Tensor,
+    mean: &Tensor,
+    invstd: &Tensor,
+    training: bool,
+) -> (Tensor, Tensor, Tensor) {
+    let (n, c, h, w) = x.shape().nchw();
+    let m = (n * h * w) as f64;
+    let (xs, gs) = (x.as_slice(), dy.as_slice());
+    let f = |t: &Tensor, ci: usize| f64::from(t.as_slice()[ci]);
+    let xhat = |i: usize, ci: usize| (f64::from(xs[i]) - f(mean, ci)) * f(invstd, ci);
+    let mut dgamma = vec![0.0f64; c];
+    let mut dbeta = vec![0.0f64; c];
+    for (i, &g) in gs.iter().enumerate() {
+        let ci = i / (h * w) % c;
+        dgamma[ci] += f64::from(g) * xhat(i, ci);
+        dbeta[ci] += f64::from(g);
+    }
+    let dx = Tensor::from_fn(x.shape().clone(), |i| {
+        let ci = i / (h * w) % c;
+        let scale = f(gamma, ci) * f(invstd, ci);
+        let g = f64::from(gs[i]);
+        let d = if training {
+            scale / m * (m * g - dbeta[ci] - xhat(i, ci) * dgamma[ci])
+        } else {
+            g * scale
+        };
+        d as f32
+    });
+    (
+        dx,
+        Tensor::from_fn([c], |ci| dgamma[ci] as f32),
+        Tensor::from_fn([c], |ci| dbeta[ci] as f32),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,6 +561,47 @@ mod tests {
             assert_eq!(y.as_slice()[i], x.as_slice()[i] * 2.0);
             assert_eq!(y.as_slice()[4 + i], -x.as_slice()[4 + i]);
         }
+    }
+
+    #[test]
+    fn bn_refs_on_known_input() {
+        // one channel holding 1, 3, 5, 7: mean 4, biased variance 5
+        let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], [2, 1, 1, 2]).unwrap();
+        let (mean, var) = bn_batch_stats_ref(&x);
+        assert_eq!((mean[0], var[0]), (4.0, 5.0));
+        let y = bn_normalize_ref(
+            &x,
+            &Tensor::full([1], 2.0),
+            &Tensor::ones([1]),
+            &[4.0],
+            &[4.0],
+            0.0,
+        );
+        assert_eq!(y.as_slice(), &[-2.0, 0.0, 2.0, 4.0]);
+        // a gradient equal to xhat: dbeta = 0 and dgamma = sum(xhat^2) = 5
+        let invstd = Tensor::full([1], 0.5);
+        let xhat = Tensor::from_vec(vec![-1.5, -0.5, 0.5, 1.5], [2, 1, 1, 2]).unwrap();
+        let (dx, dg, db) = bn_backward_ref(
+            &x,
+            &xhat,
+            &Tensor::ones([1]),
+            &Tensor::full([1], 4.0),
+            &invstd,
+            true,
+        );
+        assert_eq!(db.as_slice(), &[0.0]);
+        assert_eq!(dg.as_slice(), &[5.0]);
+        // dx = 0.5/4 * (4*g - 0 - xhat*5) = 0.125 * (-g) for g = xhat
+        assert_eq!(dx.as_slice(), &[0.1875, 0.0625, -0.0625, -0.1875]);
+        let (dx, _, _) = bn_backward_ref(
+            &x,
+            &xhat,
+            &Tensor::ones([1]),
+            &Tensor::full([1], 4.0),
+            &invstd,
+            false,
+        );
+        assert_eq!(dx.as_slice(), &[-0.75, -0.25, 0.25, 0.75]);
     }
 
     #[test]

@@ -19,7 +19,10 @@ echo "== cargo test =="
 cargo test --workspace -q
 
 echo "== verify_all (fast mode) =="
-# differential kernel oracles, contraction exactness audits, taped-vs-plan
+# differential kernel oracles (gemm, conv, depthwise, pooling, and batch
+# norm's training statistics, normalize and backward, each at widths
+# {1, 2, max} and bitwise against width 1 where the kernel promises
+# width-invariant bits), contraction exactness audits, taped-vs-plan
 # parity (bitwise with folding and fusion off, ULP-bounded with folding
 # on), concurrent Arc-shared plan replay parity, data-parallel trainer
 # parity (fit_parallel vs fit, bitwise, worker-count invariant), seed
