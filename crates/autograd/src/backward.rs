@@ -5,6 +5,13 @@ use nb_tensor::{
     avgpool2d_backward, conv2d_backward, depthwise_conv2d_backward, eltwise,
     global_avg_pool_backward, maxpool2d_backward, Tensor,
 };
+use std::time::Instant;
+
+/// Whether node `v` takes a gradient; arms compute an input's gradient
+/// only when it does.
+fn wants(nodes: &[Node], v: Value) -> bool {
+    nodes[v.0].requires_grad
+}
 
 fn accumulate_into(nodes: &mut [Node], v: Value, g: Tensor) {
     let node = &mut nodes[v.0];
@@ -44,12 +51,13 @@ impl Graph {
         for i in (0..=loss.0).rev() {
             let (before, rest) = self.nodes.split_at_mut(i);
             let node = &rest[0];
-            if !node.requires_grad {
+            if !node.requires_grad || matches!(node.op, Op::Leaf) {
                 continue;
             }
             let Some(g) = node.grad.clone() else {
                 continue;
             };
+            let started = Instant::now();
             match &node.op {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
@@ -60,14 +68,20 @@ impl Graph {
                 Op::Sub(a, b) => {
                     let (a, b) = (*a, *b);
                     accumulate_into(before, a, g.clone());
-                    accumulate_into(before, b, g.scale(-1.0));
+                    if wants(before, b) {
+                        accumulate_into(before, b, g.scale(-1.0));
+                    }
                 }
                 Op::Mul(a, b) => {
                     let (a, b) = (*a, *b);
-                    let da = g.mul(&before[b.0].value);
-                    let db = g.mul(&before[a.0].value);
-                    accumulate_into(before, a, da);
-                    accumulate_into(before, b, db);
+                    if wants(before, a) {
+                        let da = g.mul(&before[b.0].value);
+                        accumulate_into(before, a, da);
+                    }
+                    if wants(before, b) {
+                        let db = g.mul(&before[a.0].value);
+                        accumulate_into(before, b, db);
+                    }
                 }
                 Op::Scale(a, s) => {
                     let (a, s) = (*a, *s);
@@ -75,19 +89,27 @@ impl Graph {
                 }
                 Op::AddBias2(x, bias) => {
                     let (x, bias) = (*x, *bias);
-                    let (_, f) = g.shape().rc();
-                    let gs = g.as_slice();
-                    let db = Tensor::from_fn([f], |fi| gs.iter().skip(fi).step_by(f).sum());
+                    let db = wants(before, bias).then(|| {
+                        let (_, f) = g.shape().rc();
+                        let gs = g.as_slice();
+                        Tensor::from_fn([f], |fi| gs.iter().skip(fi).step_by(f).sum())
+                    });
                     accumulate_into(before, x, g);
-                    accumulate_into(before, bias, db);
+                    if let Some(db) = db {
+                        accumulate_into(before, bias, db);
+                    }
                 }
                 Op::MatMulNT(x, w) => {
                     let (x, w) = (*x, *w);
                     // y = x w^T : dx = g w ; dw = g^T x
-                    let dx = g.matmul(&before[w.0].value);
-                    let dw = g.matmul_tn(&before[x.0].value);
-                    accumulate_into(before, x, dx);
-                    accumulate_into(before, w, dw);
+                    if wants(before, x) {
+                        let dx = g.matmul(&before[w.0].value);
+                        accumulate_into(before, x, dx);
+                    }
+                    if wants(before, w) {
+                        let dw = g.matmul_tn(&before[x.0].value);
+                        accumulate_into(before, w, dw);
+                    }
                 }
                 Op::Conv2d { x, w, b, geom } => {
                     let (x, w, b, geom) = (*x, *w, *b, *geom);
@@ -97,8 +119,11 @@ impl Graph {
                         &g,
                         geom,
                         b.is_some(),
+                        wants(before, x),
                     );
-                    accumulate_into(before, x, dx);
+                    if let Some(dx) = dx {
+                        accumulate_into(before, x, dx);
+                    }
                     accumulate_into(before, w, dw);
                     if let (Some(b), Some(db)) = (b, db) {
                         accumulate_into(before, b, db);
@@ -112,8 +137,11 @@ impl Graph {
                         &g,
                         geom,
                         b.is_some(),
+                        wants(before, x),
                     );
-                    accumulate_into(before, x, dx);
+                    if let Some(dx) = dx {
+                        accumulate_into(before, x, dx);
+                    }
                     accumulate_into(before, w, dw);
                     if let (Some(b), Some(db)) = (b, db) {
                         accumulate_into(before, b, db);
@@ -142,21 +170,12 @@ impl Graph {
                 }
                 Op::ReluDecay { x, alpha } => {
                     let (x, alpha) = (*x, *alpha);
-                    let dx =
-                        before[x.0]
-                            .value
-                            .zip_with(&g, |xv, gv| if xv >= 0.0 { gv } else { alpha * gv });
+                    let dx = eltwise::relu_decay_backward(&before[x.0].value, &g, alpha);
                     accumulate_into(before, x, dx);
                 }
                 Op::Relu6Decay { x, alpha } => {
                     let (x, alpha) = (*x, *alpha);
-                    let dx = before[x.0].value.zip_with(&g, |xv, gv| {
-                        if (0.0..=6.0).contains(&xv) {
-                            gv
-                        } else {
-                            alpha * gv
-                        }
-                    });
+                    let dx = eltwise::relu6_decay_backward(&before[x.0].value, &g, alpha);
                     accumulate_into(before, x, dx);
                 }
                 Op::MaxPool { x, idx } => {
@@ -245,8 +264,11 @@ impl Graph {
                         .value
                         .sub(&before[b.0].value)
                         .scale(2.0 * g.item() / n);
-                    accumulate_into(before, a, d.clone());
-                    accumulate_into(before, b, d.scale(-1.0));
+                    let db = wants(before, b).then(|| d.scale(-1.0));
+                    accumulate_into(before, a, d);
+                    if let Some(db) = db {
+                        accumulate_into(before, b, db);
+                    }
                 }
                 Op::MseToConst { a, target } => {
                     let a = *a;
@@ -290,6 +312,8 @@ impl Graph {
                     accumulate_into(before, x, dx);
                 }
             }
+            self.op_times
+                .record_backward(node.op.kind(), started.elapsed());
         }
     }
 }

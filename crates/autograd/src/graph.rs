@@ -1,7 +1,9 @@
 //! The computation tape: nodes, values, and the backward pass driver.
 
+use crate::optime::{OpKind, OpTimes};
 use nb_tensor::{ConvGeometry, Shape, Tensor};
 use std::cell::Cell;
+use std::time::Instant;
 
 thread_local! {
     /// Count of tape nodes ever allocated by this thread. Grad-free execution
@@ -145,6 +147,46 @@ pub(crate) enum Op {
     MeanAll { x: Value, n: usize },
 }
 
+impl Op {
+    /// The kind the per-op time record files this node under.
+    pub(crate) fn kind(&self) -> OpKind {
+        let pointwise = |g: &ConvGeometry| *g == ConvGeometry::pointwise();
+        match self {
+            Op::Leaf => OpKind::Leaf,
+            Op::Add(..) => OpKind::Add,
+            Op::Sub(..) => OpKind::Sub,
+            Op::Mul(..) => OpKind::Mul,
+            Op::Scale(..) => OpKind::Scale,
+            Op::AddBias2(..) => OpKind::AddBias2,
+            Op::MatMulNT(..) => OpKind::MatMulNT,
+            Op::Conv2d { geom, .. } if pointwise(geom) => OpKind::ConvPointwise,
+            Op::Conv2d { .. } => OpKind::Conv,
+            Op::DepthwiseConv2d { geom, .. } if pointwise(geom) => OpKind::Depthwise1x1,
+            Op::DepthwiseConv2d { geom, .. } if (geom.kh, geom.kw) == (3, 3) => {
+                OpKind::Depthwise3x3
+            }
+            Op::DepthwiseConv2d { .. } => OpKind::Depthwise,
+            Op::BatchNorm { training: true, .. } => OpKind::BatchNormTrain,
+            Op::BatchNorm { .. } => OpKind::BatchNormEval,
+            Op::ReluDecay { .. } => OpKind::ReluDecay,
+            Op::Relu6Decay { .. } => OpKind::Relu6Decay,
+            Op::MaxPool { .. } => OpKind::MaxPool,
+            Op::AvgPool { .. } => OpKind::AvgPool,
+            Op::GlobalAvgPool { .. } => OpKind::GlobalAvgPool,
+            Op::Reshape { .. } => OpKind::Reshape,
+            Op::Narrow0 { .. } => OpKind::Narrow0,
+            Op::NarrowOutIn { .. } => OpKind::NarrowOutIn,
+            Op::SoftmaxCrossEntropy { .. } => OpKind::SoftmaxCrossEntropy,
+            Op::KdKlLoss { .. } => OpKind::KdKlLoss,
+            Op::MseBetween { .. } => OpKind::MseBetween,
+            Op::MseToConst { .. } => OpKind::MseToConst,
+            Op::BceWithLogits { .. } => OpKind::BceWithLogits,
+            Op::SmoothL1 { .. } => OpKind::SmoothL1,
+            Op::MeanAll { .. } => OpKind::MeanAll,
+        }
+    }
+}
+
 pub(crate) struct Node {
     pub value: Tensor,
     pub grad: Option<Tensor>,
@@ -172,15 +214,33 @@ pub(crate) struct Node {
 /// assert_eq!(g.grad(x).unwrap().as_slice(), &[0.5, 0.0]);
 /// # Ok::<(), nb_tensor::TensorError>(())
 /// ```
-#[derive(Default)]
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
+    /// Time per op kind, forward and backward.
+    pub(crate) op_times: OpTimes,
+    /// When the last node was pushed (or the tape was created).
+    last_push: Instant,
+}
+
+impl Default for Graph {
+    fn default() -> Self {
+        Graph::new()
+    }
 }
 
 impl Graph {
     /// An empty tape.
     pub fn new() -> Self {
-        Graph { nodes: Vec::new() }
+        Graph {
+            nodes: Vec::new(),
+            op_times: OpTimes::default(),
+            last_push: Instant::now(),
+        }
+    }
+
+    /// Where this tape's time went, per op kind: see [`OpTimes`].
+    pub fn op_times(&self) -> &OpTimes {
+        &self.op_times
     }
 
     /// Number of recorded nodes.
@@ -205,6 +265,10 @@ impl Graph {
 
     pub(crate) fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> Value {
         NODES_ALLOCATED.with(|n| n.set(n.get() + 1));
+        let now = Instant::now();
+        self.op_times
+            .record_forward(op.kind(), now.duration_since(self.last_push));
+        self.last_push = now;
         self.nodes.push(Node {
             value,
             grad: None,

@@ -36,10 +36,12 @@ mod check;
 mod graph;
 mod loss;
 mod ops;
+mod optime;
 mod reduce;
 
 pub use check::{grad_check, GradCheckReport};
 pub use graph::{nodes_allocated, Graph, Value};
 pub use loss::softmax_rows;
 pub use ops::BnBatchStats;
+pub use optime::{OpKind, OpTime, OpTimes};
 pub use reduce::{extract_grads, tree_reduce, GradSet};

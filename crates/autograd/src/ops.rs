@@ -181,16 +181,14 @@ impl Graph {
         mean: &Tensor,
         invstd: &Tensor,
     ) -> Tensor {
-        let mut out = self.value(x).clone();
-        eltwise::bn_apply_inplace(&mut out, self.value(gamma), self.value(beta), mean, invstd);
-        out
+        let (gamma, beta) = (self.value(gamma), self.value(beta));
+        eltwise::bn_normalize(self.value(x), gamma, beta, mean, invstd)
     }
 
     /// Decayable ReLU `y = max(alpha*x, x)` (paper Eq. 2). `alpha = 0` is the
     /// plain ReLU, `alpha = 1` the identity; PLT sweeps alpha from 0 to 1.
     pub fn relu_decay(&mut self, x: Value, alpha: f32) -> Value {
-        let mut out = self.value(x).clone();
-        eltwise::relu_decay_inplace(&mut out, alpha);
+        let out = eltwise::relu_decay(self.value(x), alpha);
         let rg = self.wants_grad(x);
         self.push(out, Op::ReluDecay { x, alpha }, rg)
     }
@@ -198,8 +196,7 @@ impl Graph {
     /// Decayable ReLU6 `y = max(alpha*x, x) - (1-alpha)*max(0, x-6)`.
     /// `alpha = 0` is ReLU6 (clamp to `[0, 6]`), `alpha = 1` the identity.
     pub fn relu6_decay(&mut self, x: Value, alpha: f32) -> Value {
-        let mut out = self.value(x).clone();
-        eltwise::relu6_decay_inplace(&mut out, alpha);
+        let out = eltwise::relu6_decay(self.value(x), alpha);
         let rg = self.wants_grad(x);
         self.push(out, Op::Relu6Decay { x, alpha }, rg)
     }

@@ -3,7 +3,7 @@
 
 use crate::layers::BnUpdate;
 use crate::Parameter;
-use nb_autograd::{Graph, Value};
+use nb_autograd::{Graph, OpTimes, Value};
 use nb_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -135,6 +135,12 @@ impl Session {
     pub fn value(&self, v: Value) -> &Tensor {
         self.graph.value(v)
     }
+
+    /// Where this step's time went, per op kind, forward and backward (see
+    /// [`OpTimes`]).
+    pub fn op_times(&self) -> &OpTimes {
+        self.graph.op_times()
+    }
 }
 
 /// A neural-network building block: a differentiable function of one tensor
@@ -235,6 +241,75 @@ mod tests {
         p.update(|val, _| val.as_mut_slice()[0] = 99.0);
         assert_eq!(p.value().as_slice(), &[99.0, 2.0]);
         assert_eq!(s.value(v).as_slice(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn op_times_count_each_node_and_backward_arm_by_kind() {
+        use crate::layers::{
+            ActKind, Activation, BatchNorm2d, Conv2d, DepthwiseConv2d, GlobalAvgPool, Linear,
+        };
+        use crate::Sequential;
+        use nb_autograd::OpKind;
+        use nb_tensor::ConvGeometry;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let net = Sequential::new()
+            .push(Conv2d::new(3, 8, ConvGeometry::same(3, 2), false, &mut rng))
+            .push(BatchNorm2d::new(8))
+            .push(Activation::new(ActKind::Relu6))
+            .push(DepthwiseConv2d::new(
+                8,
+                ConvGeometry::pointwise(),
+                false,
+                &mut rng,
+            ))
+            .push(DepthwiseConv2d::new(
+                8,
+                ConvGeometry::same(3, 1),
+                false,
+                &mut rng,
+            ))
+            .push(Conv2d::new(
+                8,
+                4,
+                ConvGeometry::pointwise(),
+                false,
+                &mut rng,
+            ))
+            .push(BatchNorm2d::new(4))
+            .push(GlobalAvgPool::new())
+            .push(Linear::new(4, 3, true, &mut rng));
+        let mut s = Session::new(true);
+        let x = s.input(Tensor::randn([2, 3, 8, 8], &mut rng));
+        let logits = net.forward(&mut s, x);
+        let loss = s.graph.softmax_cross_entropy(logits, &[0, 2], 0.0);
+        s.backward(loss);
+        let counts: Vec<(OpKind, u64, u64)> = s
+            .op_times()
+            .iter()
+            .map(|(k, t)| (k, t.forward_count, t.backward_count))
+            .collect();
+        // Leaves: the image, five weights, two (gamma, beta) pairs and the
+        // linear bias. Leaves have no backward arm.
+        assert_eq!(
+            counts,
+            vec![
+                (OpKind::Leaf, 11, 0),
+                (OpKind::AddBias2, 1, 1),
+                (OpKind::MatMulNT, 1, 1),
+                (OpKind::ConvPointwise, 1, 1),
+                (OpKind::Conv, 1, 1),
+                (OpKind::Depthwise1x1, 1, 1),
+                (OpKind::Depthwise3x3, 1, 1),
+                (OpKind::BatchNormTrain, 2, 2),
+                (OpKind::Relu6Decay, 1, 1),
+                (OpKind::GlobalAvgPool, 1, 1),
+                (OpKind::SoftmaxCrossEntropy, 1, 1),
+            ]
+        );
+        let total: u64 = s.op_times().iter().map(|(_, t)| t.forward_ns).sum();
+        assert!(total > 0, "forward time recorded");
     }
 
     #[test]

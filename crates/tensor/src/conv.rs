@@ -13,18 +13,21 @@
 //! slivers straight out of the image and the `[c_in*kh*kw, ho*wo]` column
 //! matrix is never written to memory. The *gradients* still lower
 //! explicitly through [`im2col`] / [`col2im`] (the backward GEMMs read the
-//! column matrix twice, so materializing it once pays for itself).
-//! Depthwise convolution is computed directly. All kernels parallelize over
-//! the batch dimension on the persistent worker pool, and the backward-path
-//! column matrices live in thread-local scratch buffers, so a steady-state
-//! training step performs no kernel-side heap allocation beyond the output
-//! tensors themselves. The conv bias is fused into the GEMM epilogue rather
-//! than added in a second pass.
+//! column matrix twice, so materializing it once pays for itself), except
+//! for the pointwise (1x1, stride-1, unpadded) geometry, whose column matrix
+//! is the sample itself: its backward GEMMs read `x` and write `dx` in
+//! place. Depthwise convolution is computed directly. All kernels
+//! parallelize over the batch dimension on the persistent worker pool, and
+//! the backward-path column matrices live in thread-local scratch buffers,
+//! so a steady-state training step performs no kernel-side heap allocation
+//! beyond the output tensors themselves. The conv bias is fused into the
+//! GEMM epilogue rather than added in a second pass.
 
 use crate::eltwise::Epilogue;
 use crate::gemm::{
     gemm, gemm_conv_batch, gemm_conv_packed, gemm_conv_packed_mat, Im2colRef, PackedA,
 };
+use crate::simd::{have_avx2, LANES};
 use crate::threadpool::{self, with_scratch, SharedMut, CONV_COLS, CONV_DCOLS, CONV_DW_PARTS};
 use crate::{ConvGeometry, Tensor};
 
@@ -270,7 +273,8 @@ pub fn conv2d_packed_into(
 
 /// Gradients of [`conv2d`] with respect to input, weight, and bias.
 ///
-/// Returns `(dx, dw, db)`; `db` is present iff `has_bias`.
+/// Returns `(dx, dw, db)`; `dx` is present iff `want_dx` (nothing computes
+/// it otherwise) and `db` iff `has_bias`.
 ///
 /// # Panics
 ///
@@ -281,19 +285,40 @@ pub fn conv2d_backward(
     dy: &Tensor,
     geom: ConvGeometry,
     has_bias: bool,
-) -> (Tensor, Tensor, Option<Tensor>) {
+    want_dx: bool,
+) -> (Option<Tensor>, Tensor, Option<Tensor>) {
+    conv_backward(x, w, dy, geom, has_bias, want_dx, true)
+}
+
+/// [`conv2d_backward`]; `direct` lets the pointwise geometry skip the
+/// `im2col` / `col2im` copies. Both lowerings give the same bits: the dW
+/// GEMM reads the same bytes, and the dX GEMM starts every element from
+/// `+0.0`, so it never produces `-0.0` and its output is exactly what
+/// `col2im` adds onto a zeroed `dx`.
+#[allow(clippy::too_many_arguments)]
+fn conv_backward(
+    x: &Tensor,
+    w: &Tensor,
+    dy: &Tensor,
+    geom: ConvGeometry,
+    has_bias: bool,
+    want_dx: bool,
+    direct: bool,
+) -> (Option<Tensor>, Tensor, Option<Tensor>) {
     let (n, c_in, h, wd, c_out, ho, wo) = conv_shapes(x, w, geom);
     assert_eq!(dy.dims(), &[n, c_out, ho, wo], "conv2d_backward dy shape");
     let col_rows = c_in * geom.kh * geom.kw;
     let in_sz = c_in * h * wd;
     let out_sz = c_out * ho * wo;
     let out_hw = ho * wo;
+    // The pointwise geometry's im2col column matrix is the sample itself.
+    let direct = direct && geom == ConvGeometry::pointwise();
     let xs = x.as_slice();
     let dys = dy.as_slice();
     // The weight tensor is already the [c_out, col_rows] matrix, row-major.
     let ws = w.as_slice();
 
-    let mut dx = Tensor::zeros(x.shape().clone());
+    let mut dx = want_dx.then(|| Tensor::zeros(x.shape().clone()));
     // Per-sample dW/db partials, written into disjoint windows of one caller
     // scratch buffer and reduced in ascending sample order below. The
     // partitioning is by *sample*, never by worker count, so the gradient
@@ -301,26 +326,32 @@ pub fn conv2d_backward(
     // `with_thread_cap`, and task scheduling. The data-parallel trainer's
     // bitwise dp(N) == dp(1) contract rests on this.
     let part_sz = c_out * col_rows + c_out;
-    let shared_dx = SharedMut::new(dx.as_mut_slice());
+    let shared_dx = dx.as_mut().map(|dx| SharedMut::new(dx.as_mut_slice()));
     let mut dw = Tensor::zeros(w.shape().clone());
     let mut db = Tensor::zeros([c_out]);
     with_scratch(&CONV_DW_PARTS, n * part_sz, |parts| {
         let shared_parts = SharedMut::new(parts);
         threadpool::parallel_for(n, &|ni| {
-            // Safety: sample windows of dx and the partials buffer are
-            // disjoint across tasks.
+            // Safety: sample windows of the partials buffer are disjoint
+            // across tasks.
             let part = unsafe { shared_parts.slice(ni * part_sz, part_sz) };
             let (dw_part, db_part) = part.split_at_mut(c_out * col_rows);
-            let dx_sample = unsafe { shared_dx.slice(ni * in_sz, in_sz) };
+            let x_s = &xs[ni * in_sz..(ni + 1) * in_sz];
             let dy_s = &dys[ni * out_sz..(ni + 1) * out_sz];
-            with_scratch(&CONV_COLS, col_rows * out_hw, |cols| {
-                im2col(&xs[ni * in_sz..(ni + 1) * in_sz], c_in, h, wd, geom, cols);
-                // dW_s = dY_s * cols^T, overwriting the sample's window
-                // (scratch is not pre-zeroed).
+            // dW_s = dY_s * cols^T, overwriting the sample's window (scratch
+            // is not pre-zeroed).
+            if direct {
                 gemm(
-                    dy_s, false, cols, true, dw_part, c_out, out_hw, col_rows, None, false,
+                    dy_s, false, x_s, true, dw_part, c_out, out_hw, col_rows, None, false,
                 );
-            });
+            } else {
+                with_scratch(&CONV_COLS, col_rows * out_hw, |cols| {
+                    im2col(x_s, c_in, h, wd, geom, cols);
+                    gemm(
+                        dy_s, false, cols, true, dw_part, c_out, out_hw, col_rows, None, false,
+                    );
+                });
+            }
             for (co, db_v) in db_part.iter_mut().enumerate() {
                 *db_v = if has_bias {
                     dy_s[co * out_hw..(co + 1) * out_hw].iter().sum::<f32>()
@@ -328,14 +359,25 @@ pub fn conv2d_backward(
                     0.0
                 };
             }
+            let Some(shared_dx) = &shared_dx else {
+                return;
+            };
+            // Safety: sample windows of dx are disjoint across tasks.
+            let dx_sample = unsafe { shared_dx.slice(ni * in_sz, in_sz) };
             // dcols = W^T * dY_s (reading W transposed at pack time), folded
             // back onto this sample's dx — no per-sample tensor allocation.
-            with_scratch(&CONV_DCOLS, col_rows * out_hw, |dcols| {
+            if direct {
                 gemm(
-                    ws, true, dy_s, false, dcols, col_rows, c_out, out_hw, None, false,
+                    ws, true, dy_s, false, dx_sample, col_rows, c_out, out_hw, None, false,
                 );
-                col2im(dcols, c_in, h, wd, geom, dx_sample);
-            });
+            } else {
+                with_scratch(&CONV_DCOLS, col_rows * out_hw, |dcols| {
+                    gemm(
+                        ws, true, dy_s, false, dcols, col_rows, c_out, out_hw, None, false,
+                    );
+                    col2im(dcols, c_in, h, wd, geom, dx_sample);
+                });
+            }
         });
         // Fixed reduction order: ascending sample index, left to right.
         for ni in 0..n {
@@ -505,14 +547,14 @@ pub fn conv2d_pointwise_mat_into(
 }
 
 /// Serial depthwise backward for one channel across every sample: the
-/// register kernels for the geometries models train ([`dw_backward_channel_1x1`],
-/// [`dw_backward_channel_3x3`]), the general per-pixel loop
+/// register kernels for the geometries models train ([`dw_sums_1x1`] and
+/// [`dw_dx_1x1`], [`dw_backward_channel_3x3`]), the general per-pixel loop
 /// ([`dw_backward_channel_generic`]) for the rest. All three produce the
-/// same bits. `dims` is `(c, h, w, ho, wo)` and `kj_ranges[oj]` holds the
-/// in-bounds kernel-column range for output column `oj`. Returns the
-/// channel's bias gradient.
+/// same bits, and write the channel's `dx` planes only when `DX`. `dims` is
+/// `(c, h, w, ho, wo)` and `kj_ranges[oj]` holds the in-bounds kernel-column
+/// range for output column `oj`. Returns the channel's bias gradient.
 #[allow(clippy::too_many_arguments)]
-fn dw_backward_channel(
+fn dw_backward_channel<const DX: bool>(
     ci: usize,
     xs: &[f32],
     dys: &[f32],
@@ -524,11 +566,21 @@ fn dw_backward_channel(
     kj_ranges: &[(usize, usize)],
 ) -> f32 {
     match (geom.kh, geom.kw) {
-        (1, 1) if (geom.sh, geom.sw, geom.ph, geom.pw) == (1, 1, 0, 0) => {
-            dw_backward_channel_1x1(ci, xs, dys, shared_dx, ker, dker, dims)
+        _ if geom == ConvGeometry::pointwise() => {
+            let (c, h, wd, _, _) = dims;
+            let (dk, db) = dw_sums_1x1(ci, xs, dys, c, h * wd);
+            dker[0] = dk;
+            if DX {
+                dw_dx_1x1(ci, dys, shared_dx, ker[0], c, h * wd);
+            }
+            db
         }
-        (3, 3) => dw_backward_channel_3x3(ci, xs, dys, shared_dx, ker, dker, dims, geom, kj_ranges),
-        _ => dw_backward_channel_generic(ci, xs, dys, shared_dx, ker, dker, dims, geom, kj_ranges),
+        (3, 3) => {
+            dw_backward_channel_3x3::<DX>(ci, xs, dys, shared_dx, ker, dker, dims, geom, kj_ranges)
+        }
+        _ => dw_backward_channel_generic::<DX>(
+            ci, xs, dys, shared_dx, ker, dker, dims, geom, kj_ranges,
+        ),
     }
 }
 
@@ -539,7 +591,7 @@ fn dw_backward_channel(
 /// tests compare against. Kept as a plain function (outside the worker
 /// closure) so the hot loops compile against ordinary slice parameters.
 #[allow(clippy::too_many_arguments)]
-fn dw_backward_channel_generic(
+fn dw_backward_channel_generic<const DX: bool>(
     ci: usize,
     xs: &[f32],
     dys: &[f32],
@@ -557,7 +609,7 @@ fn dw_backward_channel_generic(
         let plane = &xs[(ni * c + ci) * h * wd..(ni * c + ci + 1) * h * wd];
         let dy_plane = &dys[(ni * c + ci) * ho * wo..(ni * c + ci + 1) * ho * wo];
         // Safety: plane (ni, ci) is written only by channel ci's task.
-        let dplane = unsafe { shared_dx.slice((ni * c + ci) * h * wd, h * wd) };
+        let dplane = unsafe { dx_plane::<DX>(shared_dx, (ni * c + ci) * h * wd, h * wd) };
         for oi in 0..ho {
             // In-bounds kernel-row range for this output row, hoisted out of
             // the tap loops: ki must satisfy 0 <= oi*sh + ki - ph < h.
@@ -575,13 +627,14 @@ fn dw_backward_channel_generic(
                 for ki in ki_lo..ki_hi {
                     let ii = oi * geom.sh + ki - geom.ph;
                     let x_row = &plane[ii * wd..(ii + 1) * wd];
-                    let dx_row = &mut dplane[ii * wd..(ii + 1) * wd];
                     let kr = &ker[ki * geom.kw..(ki + 1) * geom.kw];
                     let dkr = &mut dker[ki * geom.kw..(ki + 1) * geom.kw];
                     for kj in kj_lo..kj_hi {
                         let jj = oj * geom.sw + kj - geom.pw;
                         dkr[kj] += g * x_row[jj];
-                        dx_row[jj] += g * kr[kj];
+                        if DX {
+                            dplane[ii * wd + jj] += g * kr[kj];
+                        }
                     }
                 }
             }
@@ -590,44 +643,63 @@ fn dw_backward_channel_generic(
     db_acc
 }
 
-/// [`dw_backward_channel_generic`] for the 1x1, stride-1, unpadded kernel
-/// NetBooster's expansion inserts: output pixel `i` touches input pixel `i`
-/// alone, so one pass over each plane runs the single tap, with the weight
-/// and bias gradients held in registers instead of read-modify-written
-/// through `dker`. Same order, same zero skip, same bits.
-fn dw_backward_channel_1x1(
-    ci: usize,
-    xs: &[f32],
-    dys: &[f32],
+/// The `dx` window `[off, off + len)` when `DX`, an empty slice otherwise.
+///
+/// # Safety
+///
+/// With `DX`, the window must be in bounds and no other window of
+/// `shared_dx` that overlaps it may be alive.
+#[allow(clippy::mut_from_ref)]
+unsafe fn dx_plane<const DX: bool>(
     shared_dx: &SharedMut<f32>,
-    ker: &[f32],
-    dker: &mut [f32],
-    dims: (usize, usize, usize, usize, usize),
-) -> f32 {
-    let (c, h, wd, _, _) = dims;
-    let hw = h * wd;
+    off: usize,
+    len: usize,
+) -> &mut [f32] {
+    if DX {
+        shared_dx.slice(off, len)
+    } else {
+        &mut []
+    }
+}
+
+/// The weight and bias gradients of the 1x1, stride-1, unpadded depthwise
+/// kernel NetBooster's expansion inserts, for channel `ci` of `[n, c, hw]`
+/// buffers: output pixel `i` touches input pixel `i` alone, so one pass in
+/// [`dw_backward_channel_generic`]'s order (samples, then pixels, zero
+/// upstream gradients skipped) sums `g * x` and `g` in two serial chains.
+/// Returns `(dk, db)`. [`x86::dw_sums_1x1_lanes`] runs eight of these
+/// chains at once.
+fn dw_sums_1x1(ci: usize, xs: &[f32], dys: &[f32], c: usize, hw: usize) -> (f32, f32) {
     let n = xs.len() / (c * hw);
-    let k = ker[0];
-    let (mut dk, mut db_acc) = (0.0f32, 0.0f32);
+    let (mut dk, mut db) = (0.0f32, 0.0f32);
+    for ni in 0..n {
+        let off = (ni * c + ci) * hw;
+        for (&xv, &g) in xs[off..off + hw].iter().zip(&dys[off..off + hw]) {
+            if g == 0.0 {
+                continue;
+            }
+            db += g;
+            dk += g * xv;
+        }
+    }
+    (dk, db)
+}
+
+/// Channel `ci`'s input gradient under the 1x1 depthwise kernel `k`:
+/// `dx += g * k` per pixel, zero upstream gradients skipped, as the generic
+/// loop does. The skip is a select rather than a branch, so the loop
+/// vectorizes whatever the pattern of zeros.
+fn dw_dx_1x1(ci: usize, dys: &[f32], shared_dx: &SharedMut<f32>, k: f32, c: usize, hw: usize) {
+    let n = dys.len() / (c * hw);
     for ni in 0..n {
         let off = (ni * c + ci) * hw;
         // Safety: plane (ni, ci) is written only by channel ci's task.
         let dplane = unsafe { shared_dx.slice(off, hw) };
-        let planes = dplane
-            .iter_mut()
-            .zip(&xs[off..off + hw])
-            .zip(&dys[off..off + hw]);
-        for ((d, &xv), &g) in planes {
-            if g == 0.0 {
-                continue;
-            }
-            db_acc += g;
-            dk += g * xv;
-            *d += g * k;
+        for (d, &g) in dplane.iter_mut().zip(&dys[off..off + hw]) {
+            let sum = *d + g * k;
+            *d = if g == 0.0 { *d } else { sum };
         }
     }
-    dker[0] = dk;
-    db_acc
 }
 
 /// [`dw_backward_channel_generic`] specialized for 3x3 kernels at any
@@ -642,7 +714,7 @@ fn dw_backward_channel_1x1(
 /// gradients skipped), and the scalar accumulators start from the same zero
 /// `dker` would, so the results are bitwise the same.
 #[allow(clippy::too_many_arguments)]
-fn dw_backward_channel_3x3(
+fn dw_backward_channel_3x3<const DX: bool>(
     ci: usize,
     xs: &[f32],
     dys: &[f32],
@@ -670,7 +742,7 @@ fn dw_backward_channel_3x3(
         let plane = &xs[(ni * c + ci) * h * wd..(ni * c + ci + 1) * h * wd];
         let dy_plane = &dys[(ni * c + ci) * ho * wo..(ni * c + ci + 1) * ho * wo];
         // Safety: plane (ni, ci) is written only by channel ci's task.
-        let dplane = unsafe { shared_dx.slice((ni * c + ci) * h * wd, h * wd) };
+        let dplane = unsafe { dx_plane::<DX>(shared_dx, (ni * c + ci) * h * wd, h * wd) };
         for oi in 0..ho {
             let ki_lo = ph.saturating_sub(oi * sh);
             let ki_hi = (h + ph).saturating_sub(oi * sh).min(3);
@@ -689,7 +761,9 @@ fn dw_backward_channel_3x3(
                                 if ki_lo <= $ki && $ki < ki_hi && kj_lo <= $kj && $kj < kj_hi {
                                     let idx = (oi * sh + $ki - ph) * wd + (oj * sw + $kj - pw);
                                     $dk += g * plane[idx];
-                                    dplane[idx] += g * $kw;
+                                    if DX {
+                                        dplane[idx] += g * $kw;
+                                    }
                                 }
                             };
                         }
@@ -728,6 +802,9 @@ fn dw_backward_channel_3x3(
                     d6 += g * x2[0];
                     d7 += g * x2[1];
                     d8 += g * x2[2];
+                    if !DX {
+                        continue;
+                    }
                     let r0 = &mut dplane[i0 * wd + j0..i0 * wd + j0 + 3];
                     r0[0] += g * k0;
                     r0[1] += g * k1;
@@ -767,14 +844,18 @@ fn dw_kj_ranges(geom: ConvGeometry, w: usize, wo: usize) -> Vec<(usize, usize)> 
         .collect()
 }
 
-/// Gradients of [`depthwise_conv2d`]; returns `(dx, dw, db)`.
+/// Gradients of [`depthwise_conv2d`]; returns `(dx, dw, db)`, with `dx`
+/// present iff `want_dx` (nothing computes it otherwise) and `db` iff
+/// `has_bias`.
 ///
 /// Parallelizes over *channels*: depthwise gradients never mix channels, so
 /// each task owns one channel's `dx` planes (across all samples) and its
 /// `dw`/`db` rows outright — no mutex, no partial buffers, no reduction
 /// pass. A channel's accumulation runs serially over samples in a fixed
 /// order, which also makes `dw`/`db` thread-count-invariant (the sample-
-/// chunked dense path is only width-stable).
+/// chunked dense path is only width-stable). On an AVX2 host the 1x1
+/// kernel's tasks take eight channels each and run their `dw`/`db` chains
+/// as channel lanes, one lane per channel, with the same bits.
 ///
 /// # Panics
 ///
@@ -785,29 +866,75 @@ pub fn depthwise_conv2d_backward(
     dy: &Tensor,
     geom: ConvGeometry,
     has_bias: bool,
-) -> (Tensor, Tensor, Option<Tensor>) {
+    want_dx: bool,
+) -> (Option<Tensor>, Tensor, Option<Tensor>) {
+    let mut dx = want_dx.then(|| Tensor::zeros(x.shape().clone()));
+    let shared_dx = SharedMut::new(dx.as_mut().map_or(&mut [][..], |t| t.as_mut_slice()));
+    let (dw, db) = if want_dx {
+        depthwise_backward::<true>(x, w, dy, geom, &shared_dx, true)
+    } else {
+        depthwise_backward::<false>(x, w, dy, geom, &shared_dx, true)
+    };
+    (dx, dw, has_bias.then_some(db))
+}
+
+/// The body of [`depthwise_conv2d_backward`]: writes `dx` through
+/// `shared_dx` when `DX` and returns `(dw, db)`. `simd` allows the 1x1
+/// channel lanes (where the host has AVX2); the bits are the same either
+/// way.
+fn depthwise_backward<const DX: bool>(
+    x: &Tensor,
+    w: &Tensor,
+    dy: &Tensor,
+    geom: ConvGeometry,
+    shared_dx: &SharedMut<f32>,
+    simd: bool,
+) -> (Tensor, Tensor) {
     let (n, c, h, wd, ho, wo) = dw_shapes(x, w, geom);
     assert_eq!(dy.dims(), &[n, c, ho, wo], "depthwise backward dy shape");
     let xs = x.as_slice();
     let ws = w.as_slice();
     let dys = dy.as_slice();
     let ker_sz = geom.kh * geom.kw;
-    let mut dx = Tensor::zeros(x.shape().clone());
     let mut dw = Tensor::zeros(w.shape().clone());
     let mut db = Tensor::zeros([c]);
     let kj_ranges = dw_kj_ranges(geom, wd, wo);
-    let shared_dx = SharedMut::new(dx.as_mut_slice());
     let shared_dw = SharedMut::new(dw.as_mut_slice());
     let shared_db = SharedMut::new(db.as_mut_slice());
-    threadpool::parallel_for(c, &|ci| {
+    let lane_groups = if simd && geom == ConvGeometry::pointwise() && have_avx2() {
+        c / LANES
+    } else {
+        0
+    };
+    let lane_channels = lane_groups * LANES;
+    threadpool::parallel_for(lane_groups + c - lane_channels, &|t| {
+        if t < lane_groups {
+            let c0 = t * LANES;
+            // Safety: channels [c0, c0 + 8) — their dw and db entries and
+            // their dx planes — belong to this task only.
+            let (dk, db_c) = unsafe { (shared_dw.slice(c0, LANES), shared_db.slice(c0, LANES)) };
+            // Safety: lane groups exist only on AVX2 hosts, and the group's
+            // channels lie inside `c`.
+            #[cfg(target_arch = "x86_64")]
+            unsafe {
+                x86::dw_sums_1x1_lanes(xs, dys, n, c, h * wd, c0, dk, db_c)
+            };
+            if DX {
+                for (ci, &k) in ws.iter().enumerate().skip(c0).take(LANES) {
+                    dw_dx_1x1(ci, dys, shared_dx, k, c, h * wd);
+                }
+            }
+            return;
+        }
+        let ci = lane_channels + t - lane_groups;
         // Safety: channel ci's dw row and db element belong to this task only.
         let dker = unsafe { shared_dw.slice(ci * ker_sz, ker_sz) };
         let db_c = unsafe { shared_db.slice(ci, 1) };
-        db_c[0] = dw_backward_channel(
+        db_c[0] = dw_backward_channel::<DX>(
             ci,
             xs,
             dys,
-            &shared_dx,
+            shared_dx,
             &ws[ci * ker_sz..(ci + 1) * ker_sz],
             dker,
             (c, h, wd, ho, wo),
@@ -815,7 +942,46 @@ pub fn depthwise_conv2d_backward(
             &kj_ranges,
         );
     });
-    (dx, dw, if has_bias { Some(db) } else { None })
+    (dw, db)
+}
+
+/// The 1x1 depthwise backward's channel-lane kernel.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use crate::simd::x86::{for_each_lane_pixel, store_f32x8};
+    use std::arch::x86_64::*;
+
+    /// [`super::dw_sums_1x1`] for channels `[c0, c0 + 8)`, lane `l` running
+    /// channel `c0 + l`'s two chains with the same operations in the same
+    /// order: a lane whose upstream gradient is zero keeps both sums, as
+    /// the scalar loop skips the pixel.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present, `c0 + 8 <= c`, `xs` and `dys` must hold
+    /// `n * c * hw` elements and the outputs eight.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn dw_sums_1x1_lanes(
+        xs: &[f32],
+        dys: &[f32],
+        n: usize,
+        c: usize,
+        hw: usize,
+        c0: usize,
+        dk_out: &mut [f32],
+        db_out: &mut [f32],
+    ) {
+        let zero = _mm256_setzero_ps();
+        let (mut dk, mut db) = (zero, zero);
+        for_each_lane_pixel([xs, dys], n, c, hw, c0, |[xv, g]| {
+            let skip = _mm256_cmp_ps::<_CMP_EQ_OQ>(*g, zero);
+            db = _mm256_blendv_ps(_mm256_add_ps(db, *g), db, skip);
+            dk = _mm256_blendv_ps(_mm256_add_ps(dk, _mm256_mul_ps(*g, *xv)), dk, skip);
+        });
+        store_f32x8(dk_out, 0, dk);
+        store_f32x8(db_out, 0, db);
+    }
 }
 
 #[cfg(test)]
@@ -938,7 +1104,8 @@ mod tests {
         let b = Tensor::randn([3], &mut rng);
         let y = conv2d(&x, &w, Some(&b), geom);
         let dy = Tensor::randn(y.shape().clone(), &mut rng);
-        let (dx, dw, db) = conv2d_backward(&x, &w, &dy, geom, true);
+        let (dx, dw, db) = conv2d_backward(&x, &w, &dy, geom, true, true);
+        let dx = dx.unwrap();
         let loss = |x: &Tensor, w: &Tensor, b: &Tensor| -> f32 {
             conv2d(x, w, Some(b), geom)
                 .as_slice()
@@ -1032,8 +1199,9 @@ mod tests {
         let w = Tensor::randn([2, 3, 3], &mut rng);
         let y = depthwise_conv2d(&x, &w, None, geom);
         let dy = Tensor::randn(y.shape().clone(), &mut rng);
-        let (dx, dw, db) = depthwise_conv2d_backward(&x, &w, &dy, geom, false);
+        let (dx, dw, db) = depthwise_conv2d_backward(&x, &w, &dy, geom, false, true);
         assert!(db.is_none());
+        let dx = dx.unwrap();
         let loss = |x: &Tensor, w: &Tensor| -> f32 {
             depthwise_conv2d(x, w, None, geom)
                 .as_slice()
@@ -1098,10 +1266,10 @@ mod tests {
         let x = Tensor::randn([5, 3, 9, 9], &mut rng);
         let w = Tensor::randn([4, 3, 3, 3], &mut rng);
         let dy = Tensor::randn([5, 4, 9, 9], &mut rng);
-        let (dx, dw, db) = conv2d_backward(&x, &w, &dy, geom, true);
-        let (dx1, dw1, db1) = with_thread_cap(1, || conv2d_backward(&x, &w, &dy, geom, true));
+        let (dx, dw, db) = conv2d_backward(&x, &w, &dy, geom, true, true);
+        let (dx1, dw1, db1) = with_thread_cap(1, || conv2d_backward(&x, &w, &dy, geom, true, true));
         for (name, a, b) in [
-            ("dx", &dx, &dx1),
+            ("dx", dx.as_ref().unwrap(), dx1.as_ref().unwrap()),
             ("dw", &dw, &dw1),
             ("db", db.as_ref().unwrap(), db1.as_ref().unwrap()),
         ] {
@@ -1131,7 +1299,7 @@ mod tests {
         let mut db = Tensor::zeros([c]);
         let shared_dx = SharedMut::new(dx.as_mut_slice());
         for ci in 0..c {
-            db.as_mut_slice()[ci] = dw_backward_channel_generic(
+            db.as_mut_slice()[ci] = dw_backward_channel_generic::<true>(
                 ci,
                 x.as_slice(),
                 dy.as_slice(),
@@ -1175,10 +1343,10 @@ mod tests {
                 let (wdx, wdw, wdb) = dw_backward_generic_ref(&x, &w, &dy, geom);
                 for width in [1, 2] {
                     let (dx, dw, db) = with_thread_cap(width, || {
-                        depthwise_conv2d_backward(&x, &w, &dy, geom, true)
+                        depthwise_conv2d_backward(&x, &w, &dy, geom, true, true)
                     });
                     for (name, got, want) in [
-                        ("dx", &dx, &wdx),
+                        ("dx", dx.as_ref().unwrap(), &wdx),
                         ("dw", &dw, &wdw),
                         ("db", db.as_ref().unwrap(), &wdb),
                     ] {
@@ -1193,6 +1361,156 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn assert_same_bits(case: &str, got: &Tensor, want: &Tensor) {
+        assert_eq!(got.dims(), want.dims(), "{case} shape");
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{case} differs at {i}: {a} vs {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn depthwise_1x1_lanes_match_scalar_loops_bitwise() {
+        use crate::threadpool::with_thread_cap;
+        let mut rng = StdRng::seed_from_u64(23);
+        let geom = ConvGeometry::pointwise();
+        for c in [1usize, 7, 8, 9, 13, 16, 24] {
+            for n in [1usize, 3] {
+                for (h, wd) in [(1usize, 1usize), (3, 5), (7, 7), (16, 16)] {
+                    let mut x = Tensor::randn([n, c, h, wd], &mut rng);
+                    let w = Tensor::randn([c, 1, 1], &mut rng);
+                    let mut dy = Tensor::randn([n, c, h, wd], &mut rng);
+                    // zero gradients (of both signs) are skipped, even where
+                    // x is infinite and the product would be NaN
+                    for (i, (g, xv)) in dy
+                        .as_mut_slice()
+                        .iter_mut()
+                        .zip(x.as_mut_slice())
+                        .enumerate()
+                    {
+                        match i % 5 {
+                            1 => *g = 0.0,
+                            3 => {
+                                *g = -0.0;
+                                *xv = f32::INFINITY;
+                            }
+                            _ => {}
+                        }
+                    }
+                    let (wdx, wdw, wdb) = dw_backward_generic_ref(&x, &w, &dy, geom);
+                    for simd in [false, true] {
+                        for width in [1, 2] {
+                            let case = format!("c{c} n{n} {h}x{wd} simd {simd} width {width}");
+                            let mut dx = Tensor::zeros(x.shape().clone());
+                            let shared_dx = SharedMut::new(dx.as_mut_slice());
+                            let (dw, db) = with_thread_cap(width, || {
+                                depthwise_backward::<true>(&x, &w, &dy, geom, &shared_dx, simd)
+                            });
+                            assert_same_bits(&format!("{case} dx"), &dx, &wdx);
+                            assert_same_bits(&format!("{case} dw"), &dw, &wdw);
+                            assert_same_bits(&format!("{case} db"), &db, &wdb);
+                            let no_dx = SharedMut::new(&mut [][..]);
+                            let (dw, db) = with_thread_cap(width, || {
+                                depthwise_backward::<false>(&x, &w, &dy, geom, &no_dx, simd)
+                            });
+                            assert_same_bits(&format!("{case} dw without dx"), &dw, &wdw);
+                            assert_same_bits(&format!("{case} db without dx"), &db, &wdb);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn depthwise_backward_without_dx_keeps_weight_gradients() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for (k, s, p) in [(3usize, 1usize, 1usize), (3, 2, 1), (5, 1, 2)] {
+            let geom = ConvGeometry::square(k, s, p);
+            let x = Tensor::randn([2, 5, 9, 7], &mut rng);
+            let w = Tensor::randn([5, k, k], &mut rng);
+            let (ho, wo) = geom.output_hw(9, 7);
+            let dy = Tensor::randn([2, 5, ho, wo], &mut rng);
+            let (dx, dw, db) = depthwise_conv2d_backward(&x, &w, &dy, geom, true, true);
+            assert!(dx.is_some());
+            let (none, dw2, db2) = depthwise_conv2d_backward(&x, &w, &dy, geom, true, false);
+            assert!(none.is_none());
+            let case = format!("k{k} s{s} p{p}");
+            assert_same_bits(&format!("{case} dw"), &dw2, &dw);
+            assert_same_bits(&format!("{case} db"), &db2.unwrap(), &db.unwrap());
+        }
+    }
+
+    #[test]
+    fn pointwise_backward_direct_matches_im2col_bitwise() {
+        use crate::threadpool::with_thread_cap;
+        let mut rng = StdRng::seed_from_u64(25);
+        let geom = ConvGeometry::pointwise();
+        for (n, c_in, c_out, h, wd) in [
+            (1usize, 1usize, 1usize, 1usize, 1usize),
+            (3, 5, 7, 3, 5),
+            (2, 16, 24, 8, 8),
+            // a GEMM depth (c_out) past one k-panel
+            (1, 8, 300, 4, 4),
+        ] {
+            let x = Tensor::randn([n, c_in, h, wd], &mut rng);
+            let mut w = Tensor::randn([c_out, c_in, 1, 1], &mut rng);
+            for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
+                if i % 4 == 2 {
+                    *v = -0.0;
+                }
+            }
+            let mut dy = Tensor::randn([n, c_out, h, wd], &mut rng);
+            for (i, v) in dy.as_mut_slice().iter_mut().enumerate() {
+                if i % 3 == 1 {
+                    *v = 0.0;
+                }
+            }
+            for width in [1, 2] {
+                let case = format!("n{n} c{c_in}->{c_out} {h}x{wd} width {width}");
+                let (dx, dw, db) =
+                    with_thread_cap(width, || conv_backward(&x, &w, &dy, geom, true, true, true));
+                let (wdx, wdw, wdb) = with_thread_cap(width, || {
+                    conv_backward(&x, &w, &dy, geom, true, true, false)
+                });
+                assert_same_bits(&format!("{case} dx"), &dx.unwrap(), &wdx.unwrap());
+                assert_same_bits(&format!("{case} dw"), &dw, &wdw);
+                assert_same_bits(
+                    &format!("{case} db"),
+                    db.as_ref().unwrap(),
+                    wdb.as_ref().unwrap(),
+                );
+                let (none, dw2, db2) =
+                    with_thread_cap(width, || conv2d_backward(&x, &w, &dy, geom, true, false));
+                assert!(none.is_none(), "{case}: dx computed though not wanted");
+                assert_same_bits(&format!("{case} dw without dx"), &dw2, &wdw);
+                assert_same_bits(
+                    &format!("{case} db without dx"),
+                    &db2.unwrap(),
+                    &wdb.unwrap(),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn conv_backward_without_dx_keeps_weight_gradients() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let geom = ConvGeometry::square(3, 2, 1);
+        let x = Tensor::randn([2, 3, 9, 9], &mut rng);
+        let w = Tensor::randn([4, 3, 3, 3], &mut rng);
+        let dy = Tensor::randn([2, 4, 5, 5], &mut rng);
+        let (dx, dw, db) = conv2d_backward(&x, &w, &dy, geom, true, true);
+        assert!(dx.is_some());
+        let (none, dw2, db2) = conv2d_backward(&x, &w, &dy, geom, true, false);
+        assert!(none.is_none());
+        assert_same_bits("dw", &dw2, &dw);
+        assert_same_bits("db", &db2.unwrap(), &db.unwrap());
     }
 
     #[test]

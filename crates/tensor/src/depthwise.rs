@@ -40,6 +40,7 @@
 
 use crate::eltwise::Epilogue;
 use crate::qgemm::{QW_MAX, Q_ZERO};
+use crate::simd::have_avx2;
 use crate::threadpool::{self, SharedMut};
 use crate::ConvGeometry;
 
@@ -117,17 +118,6 @@ pub(crate) fn interior_hi(
         0
     };
     hi.min(wo).max(lo)
-}
-
-fn have_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 /// Computes f32 depthwise output rows `[o0, o1)` for one channel.
@@ -214,6 +204,7 @@ pub fn dw_channel_rows(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
+    use crate::simd::x86::{load_f32x8, load_u8x16, load_u8x8, store_f32x8, store_i32x8};
     use std::arch::x86_64::*;
 
     /// Row-strip f32 depthwise kernel for a fixed `KH x KW` kernel and
@@ -267,19 +258,19 @@ mod x86 {
                     for (kj, &kt) in kr.iter().enumerate() {
                         let base = oj * SW + kj - pw;
                         let xv = if SW == 1 {
-                            _mm256_loadu_ps(row.as_ptr().add(base))
+                            load_f32x8(row, base)
                         } else {
                             // Even-lane deinterleave of 16 consecutive
                             // floats: [x0,x2,..,x14] for stride 2.
-                            let a = _mm256_loadu_ps(row.as_ptr().add(base));
-                            let b = _mm256_loadu_ps(row.as_ptr().add(base + 8));
+                            let a = load_f32x8(row, base);
+                            let b = load_f32x8(row, base + 8);
                             let s = _mm256_shuffle_ps(a, b, 0b10_00_10_00);
                             _mm256_permutevar8x32_ps(s, _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7))
                         };
                         acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, kt));
                     }
                 }
-                _mm256_storeu_ps(out_row.as_mut_ptr().add(oj), acc);
+                store_f32x8(out_row, oj, acc);
                 oj += 8;
             }
             dw_cols_scalar(plane, h0, h, w, ker, geom, bv, oi, oj, wo, out_row);
@@ -352,10 +343,10 @@ mod x86 {
                     for (kj, &kt) in kr.iter().enumerate() {
                         let base_j = oj * SW + kj - pw;
                         let xv = if SW == 1 {
-                            let lo = _mm_loadl_epi64(row.as_ptr().add(base_j) as *const __m128i);
+                            let lo = load_u8x8(row, base_j);
                             _mm256_cvtepu8_epi32(lo)
                         } else {
-                            let v = _mm_loadu_si128(row.as_ptr().add(base_j) as *const __m128i);
+                            let v = load_u8x16(row, base_j);
                             _mm256_cvtepu8_epi32(_mm_shuffle_epi8(v, even))
                         };
                         acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(xv, kt));
@@ -363,7 +354,7 @@ mod x86 {
                 }
                 let f = _mm256_cvtepi32_ps(_mm256_sub_epi32(acc, corr_v));
                 let y = _mm256_add_ps(_mm256_mul_ps(f, scale_v), base_v);
-                _mm256_storeu_ps(out_row.as_mut_ptr().add(oj), y);
+                store_f32x8(out_row, oj, y);
                 oj += 8;
             }
             qdw_cols_scalar(
@@ -439,17 +430,17 @@ mod x86 {
                     for (kj, &kt) in kr.iter().enumerate() {
                         let base_j = oj * SW + kj - pw;
                         let xv = if SW == 1 {
-                            let lo = _mm_loadl_epi64(row.as_ptr().add(base_j) as *const __m128i);
+                            let lo = load_u8x8(row, base_j);
                             _mm256_cvtepu8_epi32(lo)
                         } else {
-                            let v = _mm_loadu_si128(row.as_ptr().add(base_j) as *const __m128i);
+                            let v = load_u8x16(row, base_j);
                             _mm256_cvtepu8_epi32(_mm_shuffle_epi8(v, even))
                         };
                         acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(xv, kt));
                     }
                 }
                 let mut lanes = [0i32; 8];
-                _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
+                store_i32x8(&mut lanes, 0, acc);
                 crate::qgemm::qx86::dequant_act_requant_avx2(
                     &lanes,
                     corr,

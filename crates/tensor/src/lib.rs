@@ -79,6 +79,7 @@ mod matmul;
 mod pool;
 pub mod qgemm;
 mod shape;
+mod simd;
 mod tensor;
 pub mod threadpool;
 

@@ -237,8 +237,8 @@ pub fn run_conv_suite(fast: bool) -> DiffReport {
             for cap in thread_widths() {
                 let (got, gdx, gdw, gdb) = nt::with_thread_cap(cap, || {
                     let got = nt::conv2d(&x, &wt, bref, geom);
-                    let (gdx, gdw, gdb) = nt::conv2d_backward(&x, &wt, &dy, geom, bias);
-                    (got, gdx, gdw, gdb)
+                    let (gdx, gdw, gdb) = nt::conv2d_backward(&x, &wt, &dy, geom, bias, true);
+                    (got, gdx.expect("dx was asked for"), gdw, gdb)
                 });
                 report.compare(
                     "conv",
@@ -308,6 +308,7 @@ pub fn run_depthwise_suite(fast: bool) -> DiffReport {
     let mut shapes: Vec<(usize, usize, usize, usize, usize, usize, usize)> = vec![
         (1, 1, 1, 1, 1, 1, 0),
         (1, 6, 4, 4, 1, 1, 0), // k = 1: the channel-scale case contraction uses
+        (2, 9, 5, 7, 1, 1, 0), // k = 1 over a channel-lane group and a remainder
         (2, 3, 8, 8, 3, 1, 1),
         (1, 4, 7, 7, 3, 2, 1),
     ];
@@ -333,8 +334,9 @@ pub fn run_depthwise_suite(fast: bool) -> DiffReport {
             for cap in thread_widths() {
                 let (got, gdx, gdw, gdb) = nt::with_thread_cap(cap, || {
                     let got = nt::depthwise_conv2d(&x, &wt, bref, geom);
-                    let (gdx, gdw, gdb) = nt::depthwise_conv2d_backward(&x, &wt, &dy, geom, bias);
-                    (got, gdx, gdw, gdb)
+                    let (gdx, gdw, gdb) =
+                        nt::depthwise_conv2d_backward(&x, &wt, &dy, geom, bias, true);
+                    (got, gdx.expect("dx was asked for"), gdw, gdb)
                 });
                 report.compare(
                     "depthwise",
@@ -469,7 +471,8 @@ pub fn run_pool_suite(fast: bool) -> DiffReport {
 }
 
 /// Sweeps the batch-norm kernels against the oracles: the training
-/// forward (batch mean, biased variance, normalize) and the backward
+/// forward (batch mean, biased variance, the tape's out-of-place normalize)
+/// and the backward
 /// (`dx`, `dgamma`, `dbeta`) in training and eval mode. Every output rests
 /// on a reduction over the `n * h * w` elements of its channel, so that is
 /// the bound's reduction length. Each channel's sums have one owner, so
@@ -482,6 +485,8 @@ pub fn run_batchnorm_suite(fast: bool) -> DiffReport {
         (1, 4, 7, 7),  // one whole channel group
         (3, 5, 4, 4),  // a group and a remainder channel
         (2, 13, 8, 8), // remainder channels after three groups
+        (2, 16, 5, 7), // two channel-lane groups over planes with a pixel tail
+        (3, 24, 3, 3), // three lane groups, one whole pixel block and a tail
     ];
     if !fast {
         shapes.extend([(4, 8, 16, 16), (1, 1, 32, 32), (8, 32, 4, 4)]);
@@ -509,8 +514,7 @@ pub fn run_batchnorm_suite(fast: bool) -> DiffReport {
             let (mean, var, invstd, y, train, eval) = nt::with_thread_cap(cap, || {
                 let (mean, var) = nt::eltwise::bn_batch_stats(&x);
                 let invstd = nt::eltwise::bn_invstd(&var, eps);
-                let mut y = x.clone();
-                nt::eltwise::bn_apply_inplace(&mut y, &gamma, &beta, &mean, &invstd);
+                let y = nt::eltwise::bn_normalize(&x, &gamma, &beta, &mean, &invstd);
                 let train = nt::eltwise::bn_backward(&x, &dy, &gamma, &mean, &invstd, true);
                 let eval = nt::eltwise::bn_backward(&x, &dy, &gamma, &run_mean, &run_invstd, false);
                 (mean, var, invstd, y, train, eval)
