@@ -57,9 +57,9 @@ use nb_autograd::Value;
 use nb_tensor::{
     activation_scale, avgpool2d, conv2d_packed_into, conv2d_pointwise_mat_into,
     depthwise_conv2d_fused_into, dw_channel_rows, eltwise, global_avg_pool, max_abs, maxpool2d,
-    qdepthwise_conv2d_into, qdw_channel_rows_requant, qgemm_conv, qgemm_conv_mat,
-    qgemm_conv_mat_requant, qgemm_linear, quantize_activations, ConvGeometry, Epilogue, PackedA,
-    PackedB, QDepthwiseW, QIm2colRef, QPackedW, Tensor,
+    qdepthwise_conv2d_into, qdw_channel_rows, qgemm_conv, qgemm_conv_mat, qgemm_conv_mat_requant,
+    qgemm_linear, quantize_activations, ConvGeometry, Epilogue, PackedA, PackedB, QDepthwiseW,
+    QIm2colRef, QOut, QPackedW, Tensor,
 };
 
 /// Number of calibration batches [`CompiledPlan::compile_quantized`] callers
@@ -1013,12 +1013,7 @@ impl CompiledPlan {
                 let (ho, wo) = geom.output_hw(h, w_in);
                 let unit_in = c_in * h * w_in;
                 let unit_out = qw.m() * ho * wo;
-                let pointwise = geom.kh == 1
-                    && geom.kw == 1
-                    && geom.sh == 1
-                    && geom.sw == 1
-                    && geom.ph == 0
-                    && geom.pw == 0;
+                let pointwise = *geom == ConvGeometry::pointwise();
                 for s in 0..*last_batch {
                     let qs = &qscratch[s * unit_in..(s + 1) * unit_in];
                     let cs = &mut buf[s * unit_out..(s + 1) * unit_out];
@@ -1303,8 +1298,13 @@ fn fused_strip_rows(
 /// Executes a fused expand → depthwise → project block sample by sample:
 /// strips of depthwise output rows flow through thread-local scratch, so
 /// the two `[E, H, W]` intermediates never round-trip through the arena.
+/// One loop owns the strip geometry, the input gather, both full-plane
+/// skips and the copy-out. The stages' precision decides only the three
+/// stage calls and which scratch holds the intermediates: f32 strips, or
+/// u8 strips that each int8 stage requantizes in its epilogue at the next
+/// stage's input scale, so no f32 intermediate exists between them.
 ///
-/// Both variants are **bitwise identical** to their unfused twins and
+/// Both precisions are **bitwise identical** to their unfused twins and
 /// bitwise thread-width invariant. In f32, a pointwise GEMM element's bits
 /// depend only on its weight row, its input column and `k`, never on how
 /// many columns the call covers, so a strip's GEMM outputs equal the same
@@ -1312,256 +1312,190 @@ fn fused_strip_rows(
 /// output row from its own input window. In int8, `quantize_activations`
 /// is elementwise (strip-wise quantization produces the same bytes), the
 /// integer GEMM/stencil stages are exact under any schedule, and the
-/// dequant epilogues evaluate the same expression per element.
+/// epilogues evaluate the same expressions per element.
 fn run_fused(expand: &Kernel, dw: &Kernel, project: &Kernel, xt: &Tensor, out: &mut [f32]) {
     let d = xt.dims();
     let (n, c_in, h, w) = (d[0], d[1], d[2], d[3]);
     let x = xt.as_slice();
-    match (expand, dw, project) {
+    let (e, g, c_out) = match (expand, dw, project) {
         (
-            Kernel::Conv {
-                wp: ewp,
-                bias: ebias,
-                act: eact,
-                ..
-            },
-            Kernel::Depthwise {
-                w: dww,
-                b: dwb,
-                geom,
-                act: dact,
-            },
-            Kernel::Conv {
-                wp: pwp,
-                bias: pbias,
-                act: pact,
-                ..
-            },
-        ) => {
-            let g = *geom;
-            let (ho, wo) = g.output_hw(h, w);
-            let (e, c_out) = (ewp.m(), pwp.m());
-            debug_assert_eq!(out.len(), n * c_out * ho * wo, "fused output length");
-            let strip = fused_strip_rows(c_in, e, c_out, w, wo, g.sh, ho);
-            let rows_in_max = ((strip - 1) * g.sh + g.kh).min(h);
-            let (xg_cap, e_cap) = (c_in * rows_in_max * w, e * rows_in_max * w);
-            let (d_cap, p_cap) = (e * strip * wo, c_out * strip * wo);
-            // One depthwise kernel decision per run, on the same shape as
-            // the standalone action, so strips run the same kernel.
-            let simd = nb_tensor::depthwise::row_strip(e, g.kh * g.kw, ho * wo);
-            let ws = dww.as_slice();
-            let ebias = ebias.as_ref().map(Tensor::as_slice);
-            let dbias = dwb.as_ref().map(Tensor::as_slice);
-            let pbias = pbias.as_ref().map(Tensor::as_slice);
-            with_fuse_scratch(xg_cap + e_cap + d_cap + p_cap, 0, |fb, _| {
-                let (xg, rest) = fb.split_at_mut(xg_cap);
-                let (eb, rest) = rest.split_at_mut(e_cap);
-                let (db, pb) = rest.split_at_mut(d_cap);
-                for s in 0..n {
-                    let x_s = &x[s * c_in * h * w..(s + 1) * c_in * h * w];
-                    let o_s = &mut out[s * c_out * ho * wo..(s + 1) * c_out * ho * wo];
-                    let mut o0 = 0;
-                    while o0 < ho {
-                        let o1 = (o0 + strip).min(ho);
-                        let r0 = (o0 * g.sh).saturating_sub(g.ph);
-                        let r1 = ((o1 - 1) * g.sh + g.kh).saturating_sub(g.ph).min(h).max(r0);
-                        let ri = r1 - r0;
-                        let (ni, no) = (ri * w, (o1 - o0) * wo);
-                        if ni > 0 {
-                            // A strip that spans the whole input plane needs
-                            // no gather: the sample is already the k x n
-                            // matrix the pointwise GEMM expects.
-                            let xin: &[f32] = if ri == h {
-                                &x_s[..c_in * ni]
-                            } else {
-                                for ci in 0..c_in {
-                                    xg[ci * ni..(ci + 1) * ni].copy_from_slice(
-                                        &x_s[ci * h * w + r0 * w..ci * h * w + r1 * w],
-                                    );
-                                }
-                                &xg[..c_in * ni]
-                            };
-                            conv2d_pointwise_mat_into(
-                                ewp,
+            Kernel::Conv { wp: ew, .. },
+            Kernel::Depthwise { geom, .. },
+            Kernel::Conv { wp: pw, .. },
+        ) => (ew.m(), *geom, pw.m()),
+        (
+            Kernel::QConv { qw: ew, .. },
+            Kernel::QDepthwise { geom, .. },
+            Kernel::QConv { qw: pw, .. },
+        ) => (ew.m(), *geom, pw.m()),
+        _ => unreachable!("fused stages are Conv/Depthwise/Conv or their quantized twins"),
+    };
+    let (ho, wo) = g.output_hw(h, w);
+    debug_assert_eq!(out.len(), n * c_out * ho * wo, "fused output length");
+    let strip = fused_strip_rows(c_in, e, c_out, w, wo, g.sh, ho);
+    let rows_in_max = ((strip - 1) * g.sh + g.kh).min(h);
+    let (xg_cap, e_cap) = (c_in * rows_in_max * w, e * rows_in_max * w);
+    let (d_cap, p_cap) = (e * strip * wo, c_out * strip * wo);
+    // f32 chains keep the expand and depthwise strips in `eb` and `db`.
+    // Int8 chains keep the requantized expand strip in `qe`, and share `qa`
+    // between the quantized input and the requantized depthwise strip
+    // (their lifetimes don't overlap).
+    let quant = expand.is_quant();
+    let (eb_cap, db_cap) = if quant { (0, 0) } else { (e_cap, d_cap) };
+    let (qa_cap, qe_cap) = if quant {
+        (xg_cap.max(d_cap), e_cap)
+    } else {
+        (0, 0)
+    };
+    fn slice(b: &Option<Tensor>) -> Option<&[f32]> {
+        b.as_ref().map(Tensor::as_slice)
+    }
+    with_fuse_scratch(
+        xg_cap + p_cap + eb_cap + db_cap,
+        qa_cap + qe_cap,
+        |fb, qb| {
+            let (xg, rest) = fb.split_at_mut(xg_cap);
+            let (pb, rest) = rest.split_at_mut(p_cap);
+            let (eb, rest) = rest.split_at_mut(eb_cap);
+            let db = &mut rest[..db_cap];
+            let (qa, rest) = qb.split_at_mut(qa_cap);
+            let qe = &mut rest[..qe_cap];
+            for s in 0..n {
+                let x_s = &x[s * c_in * h * w..(s + 1) * c_in * h * w];
+                let o_s = &mut out[s * c_out * ho * wo..(s + 1) * c_out * ho * wo];
+                let mut o0 = 0;
+                while o0 < ho {
+                    let o1 = (o0 + strip).min(ho);
+                    let r0 = (o0 * g.sh).saturating_sub(g.ph);
+                    let r1 = ((o1 - 1) * g.sh + g.kh).saturating_sub(g.ph).min(h).max(r0);
+                    let ri = r1 - r0;
+                    let (ni, no) = (ri * w, (o1 - o0) * wo);
+                    if ni > 0 {
+                        // A strip that spans the whole input plane needs no
+                        // gather: the sample is already the k x n matrix the
+                        // pointwise GEMM expects.
+                        let xin: &[f32] = if ri == h {
+                            &x_s[..c_in * ni]
+                        } else {
+                            for ci in 0..c_in {
+                                xg[ci * ni..(ci + 1) * ni].copy_from_slice(
+                                    &x_s[ci * h * w + r0 * w..ci * h * w + r1 * w],
+                                );
+                            }
+                            &xg[..c_in * ni]
+                        };
+                        match (expand, dw) {
+                            (Kernel::Conv { wp, bias, act, .. }, _) => conv2d_pointwise_mat_into(
+                                wp,
                                 xin,
                                 &mut eb[..e * ni],
                                 ni,
-                                ebias,
-                                *eact,
-                            );
+                                slice(bias),
+                                *act,
+                            ),
+                            (
+                                Kernel::QConv {
+                                    qw,
+                                    x_scale,
+                                    bias,
+                                    act,
+                                    ..
+                                },
+                                Kernel::QDepthwise { x_scale: next, .. },
+                            ) => {
+                                let qx = &mut qa[..c_in * ni];
+                                quantize_activations(xin, *x_scale, qx);
+                                let (qe, bias) = (&mut qe[..e * ni], slice(bias));
+                                qgemm_conv_mat_requant(qw, qx, qe, ni, *x_scale, bias, *act, *next);
+                            }
+                            _ => unreachable!("expand stage"),
                         }
-                        for ci in 0..e {
-                            let bv = dbias.map(|b| b[ci]).unwrap_or(0.0);
-                            dw_channel_rows(
-                                &eb[ci * ni..(ci + 1) * ni],
-                                r0,
-                                h,
-                                w,
-                                &ws[ci * g.kh * g.kw..(ci + 1) * g.kh * g.kw],
-                                bv,
-                                g,
-                                wo,
-                                o0,
-                                o1,
-                                &mut db[ci * no..(ci + 1) * no],
-                                simd,
-                            );
+                    }
+                    match (dw, project) {
+                        (Kernel::Depthwise { w: kw, b, act, .. }, _) => {
+                            let taps = g.kh * g.kw;
+                            for ci in 0..e {
+                                dw_channel_rows(
+                                    &eb[ci * ni..(ci + 1) * ni],
+                                    r0,
+                                    h,
+                                    w,
+                                    &kw.as_slice()[ci * taps..(ci + 1) * taps],
+                                    slice(b).map_or(0.0, |b| b[ci]),
+                                    g,
+                                    wo,
+                                    o0,
+                                    o1,
+                                    &mut db[ci * no..(ci + 1) * no],
+                                );
+                            }
+                            act.apply(&mut db[..e * no]);
                         }
-                        dact.apply(&mut db[..e * no]);
-                        // Mirror of the gather skip: a full-plane strip can
-                        // project straight into the output sample.
-                        if no == ho * wo {
-                            conv2d_pointwise_mat_into(pwp, &db[..e * no], o_s, no, pbias, *pact);
-                        } else {
-                            conv2d_pointwise_mat_into(
-                                pwp,
-                                &db[..e * no],
-                                &mut pb[..c_out * no],
-                                no,
-                                pbias,
-                                *pact,
-                            );
-                            for co in 0..c_out {
-                                o_s[co * ho * wo + o0 * wo..co * ho * wo + o0 * wo + no]
-                                    .copy_from_slice(&pb[co * no..(co + 1) * no]);
+                        (
+                            Kernel::QDepthwise {
+                                qw,
+                                x_scale,
+                                bias,
+                                act,
+                                ..
+                            },
+                            Kernel::QConv { x_scale: next, .. },
+                        ) => {
+                            for ci in 0..e {
+                                qdw_channel_rows(
+                                    &qe[ci * ni..(ci + 1) * ni],
+                                    r0,
+                                    h,
+                                    w,
+                                    qw.filter(ci),
+                                    qw.kersum(ci),
+                                    qw.scales()[ci] * x_scale,
+                                    slice(bias).map_or(0.0, |b| b[ci]),
+                                    *act,
+                                    g,
+                                    wo,
+                                    o0,
+                                    o1,
+                                    QOut::U8(&mut qa[ci * no..(ci + 1) * no], *next),
+                                );
                             }
                         }
-                        o0 = o1;
+                        _ => unreachable!("depthwise stage"),
                     }
-                }
-            });
-        }
-        (
-            Kernel::QConv {
-                qw: eqw,
-                x_scale: exs,
-                bias: ebias,
-                act: eact,
-                ..
-            },
-            Kernel::QDepthwise {
-                qw: dqw,
-                x_scale: dxs,
-                bias: dwb,
-                geom,
-                act: dact,
-            },
-            Kernel::QConv {
-                qw: pqw,
-                x_scale: pxs,
-                bias: pbias,
-                act: pact,
-                ..
-            },
-        ) => {
-            let g = *geom;
-            let (ho, wo) = g.output_hw(h, w);
-            let (e, c_out) = (eqw.m(), pqw.m());
-            debug_assert_eq!(out.len(), n * c_out * ho * wo, "qfused output length");
-            let strip = fused_strip_rows(c_in, e, c_out, w, wo, g.sh, ho);
-            let rows_in_max = ((strip - 1) * g.sh + g.kh).min(h);
-            let (xg_cap, e_cap) = (c_in * rows_in_max * w, e * rows_in_max * w);
-            let (d_cap, p_cap) = (e * strip * wo, c_out * strip * wo);
-            // u8 scratch: one region shared by the quantized input and the
-            // requantized depthwise output (their lifetimes don't overlap),
-            // one for the requantized expand output the stencil reads from.
-            // Both producers requantize in their epilogues, so no f32
-            // intermediate exists between the three stages.
-            let qa_cap = xg_cap.max(d_cap);
-            let simd = nb_tensor::depthwise::row_strip(e, g.kh * g.kw, ho * wo);
-            let scales = dqw.scales();
-            let ebias = ebias.as_ref().map(Tensor::as_slice);
-            let dbias = dwb.as_ref().map(Tensor::as_slice);
-            let pbias = pbias.as_ref().map(Tensor::as_slice);
-            with_fuse_scratch(xg_cap + p_cap, qa_cap + e_cap, |fb, qb| {
-                let (xg, pb) = fb.split_at_mut(xg_cap);
-                let (qa, qe) = qb.split_at_mut(qa_cap);
-                for s in 0..n {
-                    let x_s = &x[s * c_in * h * w..(s + 1) * c_in * h * w];
-                    let o_s = &mut out[s * c_out * ho * wo..(s + 1) * c_out * ho * wo];
-                    let mut o0 = 0;
-                    while o0 < ho {
-                        let o1 = (o0 + strip).min(ho);
-                        let r0 = (o0 * g.sh).saturating_sub(g.ph);
-                        let r1 = ((o1 - 1) * g.sh + g.kh).saturating_sub(g.ph).min(h).max(r0);
-                        let ri = r1 - r0;
-                        let (ni, no) = (ri * w, (o1 - o0) * wo);
-                        if ni > 0 {
-                            // Full-plane strips quantize straight from the
-                            // sample; the f32 gather is only a staging copy.
-                            let src: &[f32] = if ri == h {
-                                &x_s[..c_in * ni]
-                            } else {
-                                for ci in 0..c_in {
-                                    xg[ci * ni..(ci + 1) * ni].copy_from_slice(
-                                        &x_s[ci * h * w + r0 * w..ci * h * w + r1 * w],
-                                    );
-                                }
-                                &xg[..c_in * ni]
-                            };
-                            quantize_activations(src, *exs, &mut qa[..c_in * ni]);
-                            // The expand stage requantizes in its epilogue:
-                            // its only consumer is the int8 stencil, so the
-                            // f32 intermediate never exists.
-                            qgemm_conv_mat_requant(
-                                eqw,
-                                &qa[..c_in * ni],
-                                &mut qe[..e * ni],
-                                ni,
-                                *exs,
-                                ebias,
-                                *eact,
-                                *dxs,
-                            );
+                    // Mirror of the gather skip: a full-plane strip can project
+                    // straight into the output sample.
+                    let full = no == ho * wo;
+                    let dst = if full {
+                        &mut *o_s
+                    } else {
+                        &mut pb[..c_out * no]
+                    };
+                    match project {
+                        Kernel::Conv { wp, bias, act, .. } => {
+                            conv2d_pointwise_mat_into(wp, &db[..e * no], dst, no, slice(bias), *act)
                         }
-                        // The stencil requantizes per channel row: dequant,
-                        // activation, and the project stage's input quantize
-                        // collapse into its epilogue.
-                        for ci in 0..e {
-                            let base = dbias.map(|b| b[ci]).unwrap_or(0.0);
-                            qdw_channel_rows_requant(
-                                &qe[ci * ni..(ci + 1) * ni],
-                                r0,
-                                h,
-                                w,
-                                dqw.filter(ci),
-                                dqw.kersum(ci),
-                                scales[ci] * *dxs,
-                                base,
-                                *dact,
-                                *pxs,
-                                g,
-                                wo,
-                                o0,
-                                o1,
-                                &mut qa[ci * no..(ci + 1) * no],
-                                simd,
-                            );
+                        Kernel::QConv {
+                            qw,
+                            x_scale,
+                            bias,
+                            act,
+                            ..
+                        } => {
+                            qgemm_conv_mat(qw, &qa[..e * no], dst, no, *x_scale, slice(bias), *act)
                         }
-                        if no == ho * wo {
-                            qgemm_conv_mat(pqw, &qa[..e * no], o_s, no, *pxs, pbias, *pact);
-                        } else {
-                            qgemm_conv_mat(
-                                pqw,
-                                &qa[..e * no],
-                                &mut pb[..c_out * no],
-                                no,
-                                *pxs,
-                                pbias,
-                                *pact,
-                            );
-                            for co in 0..c_out {
-                                o_s[co * ho * wo + o0 * wo..co * ho * wo + o0 * wo + no]
-                                    .copy_from_slice(&pb[co * no..(co + 1) * no]);
-                            }
-                        }
-                        o0 = o1;
+                        _ => unreachable!("project stage"),
                     }
+                    if !full {
+                        for co in 0..c_out {
+                            o_s[co * ho * wo + o0 * wo..co * ho * wo + o0 * wo + no]
+                                .copy_from_slice(&pb[co * no..(co + 1) * no]);
+                        }
+                    }
+                    o0 = o1;
                 }
-            });
-        }
-        _ => unreachable!("fused stages are Conv/Depthwise/Conv or their quantized twins"),
-    }
+            }
+        },
+    );
 }
 
 /// Identity activation test: slopes are clamped to `[0, 1]`, so
@@ -1665,9 +1599,7 @@ fn quant_policy(ops: &[RecOp], val_dims: &[Vec<usize>], rec_uses: &[usize]) -> V
     const MIN_DENSE: usize = 32;
     const MIN_CHAIN_C: usize = 8;
     const MIN_SPATIAL: usize = 64;
-    let pointwise = |g: &ConvGeometry| {
-        g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
-    };
+    let pointwise = |g: &ConvGeometry| *g == ConvGeometry::pointwise();
     // Follows op `i`'s output through the directly-following foldable tail
     // (one single-use batch norm, then one single-use activation — exactly
     // what Pass A's peephole consumes) and returns the index past the tail
@@ -2082,9 +2014,7 @@ fn build(
             }
         }
         uses[final_out] += 1;
-        let pointwise = |g: &ConvGeometry| {
-            g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
-        };
+        let pointwise = |g: &ConvGeometry| *g == ConvGeometry::pointwise();
         let fusable = |acts: &[Action], i: usize| -> bool {
             if i + 2 >= acts.len() {
                 return false;
@@ -2325,15 +2255,16 @@ mod tests {
     }
 
     /// An inverted-residual body with biases: pointwise expand -> relu6
-    /// -> 3x3 depthwise at `stride` -> relu6 -> pointwise project.
+    /// -> `k`x`k` depthwise at `stride` -> relu6 -> pointwise project.
     fn inverted_residual(
         c_in: usize,
         e: usize,
         c_out: usize,
+        k: usize,
         stride: usize,
         rng: &mut StdRng,
     ) -> Sequential {
-        let dw = ConvGeometry::same(3, stride);
+        let dw = ConvGeometry::same(k, stride);
         Sequential::new()
             .push(Conv2d::new(c_in, e, ConvGeometry::pointwise(), true, rng))
             .push(Activation::new(ActKind::Relu6))
@@ -2715,7 +2646,7 @@ mod tests {
         // 16x16 plane) quantizes whole — and still fuses, proving the
         // chain decision and Pass F's homogeneity check line up.
         let mut rng = StdRng::seed_from_u64(42);
-        let model = inverted_residual(8, 48, 8, 1, &mut rng);
+        let model = inverted_residual(8, 48, 8, 3, 1, &mut rng);
         let x = Tensor::randn([1, 8, 16, 16], &mut rng);
         let qplan =
             CompiledPlan::compile_quantized(x.dims(), &calib_batches(x.dims(), 2, 43), |f, v| {
@@ -2730,6 +2661,47 @@ mod tests {
         );
     }
 
+    /// Inverted-residual chains around every depthwise kernel the paper's
+    /// nets use, 3x3, 5x5 and 7x7 at strides 1 and 2 on 16², 8² and 4²
+    /// planes: the AVX2 stencils, the narrow-plane loop and a kernel with no
+    /// SIMD path. 96 expanded channels make the 16² stride-1 chains run
+    /// more than one strip. Yields `(case, model, input)`.
+    fn chain_cases(rng: &mut StdRng) -> Vec<(String, Sequential, Tensor)> {
+        let mut cases = Vec::new();
+        for k in [3, 5, 7] {
+            for stride in [1, 2] {
+                for p in [16, 8, 4] {
+                    let model = inverted_residual(8, 96, 8, k, stride, rng);
+                    let x = Tensor::randn([2, 8, p, p], rng);
+                    cases.push((format!("{k}x{k}/{stride} on {p}x{p}"), model, x));
+                }
+            }
+        }
+        cases
+    }
+
+    /// Asserts that `compile` fuses the chain into one action whose output
+    /// equals its unfused twin's bit for bit.
+    fn assert_fused_equals_unfused(
+        case: &str,
+        x: &Tensor,
+        opts: PlanOptions,
+        compile: impl Fn(PlanOptions) -> CompiledPlan,
+    ) {
+        let fused = compile(opts);
+        let unfused = compile(PlanOptions {
+            fuse: false,
+            ..opts
+        });
+        assert_eq!(fused.action_count(), 1, "{case}: the chain should fuse");
+        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(fused.run(x)),
+            bits(unfused.run(x)),
+            "{case}: fused chain differs from its unfused twin"
+        );
+    }
+
     #[test]
     fn fused_f32_chain_is_bitwise_equal_to_unfused() {
         // 8 -> 32 -> 4 channels around a 3x3 stride-2 depthwise on a 32x32
@@ -2737,24 +2709,32 @@ mod tests {
         // last project GEMM (4 x 32 x 16 = 2,048 multiply-adds) is far
         // smaller than the unfused full-plane one (32,768).
         let mut rng = StdRng::seed_from_u64(44);
-        let model = inverted_residual(8, 32, 4, 2, &mut rng);
+        let model = inverted_residual(8, 32, 4, 3, 2, &mut rng);
         let x = Tensor::randn([2, 8, 32, 32], &mut rng);
-        let fused = CompiledPlan::compile(x.dims(), |f, v| model.forward(f, v));
-        let unfused = CompiledPlan::compile_with(
-            x.dims(),
-            PlanOptions {
-                fuse: false,
-                ..PlanOptions::default()
-            },
-            |f, v| model.forward(f, v),
-        );
-        assert_eq!(fused.action_count(), 1, "the chain should fuse");
-        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(fused.run(&x)),
-            bits(unfused.run(&x)),
-            "fused f32 chain differs from its unfused twin"
-        );
+        let mut cases = vec![("3x3/2 on 32x32".to_string(), model, x)];
+        cases.extend(chain_cases(&mut rng));
+        for (case, model, x) in cases {
+            assert_fused_equals_unfused(&case, &x, PlanOptions::default(), |opts| {
+                CompiledPlan::compile_with(x.dims(), opts, |f, v| model.forward(f, v))
+            });
+        }
+    }
+
+    #[test]
+    fn fused_int8_chain_is_bitwise_equal_to_unfused() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let opts = PlanOptions {
+            quant_policy: QuantPolicy::All,
+            ..PlanOptions::default()
+        };
+        for (case, model, x) in chain_cases(&mut rng) {
+            let calib = calib_batches(x.dims(), 2, 46);
+            assert_fused_equals_unfused(&case, &x, opts, |opts| {
+                CompiledPlan::compile_quantized_with(x.dims(), opts, &calib, |f, v| {
+                    model.forward(f, v)
+                })
+            });
+        }
     }
 
     #[test]

@@ -157,9 +157,8 @@ pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, geom: ConvGeometry) ->
 
 /// [`conv2d`] writing into a caller-provided flat output buffer of length
 /// `n * c_out * ho * wo`. Every element of `out` is overwritten (the bias is
-/// the GEMM row initializer), so the buffer's prior contents are irrelevant —
-/// this is what lets compiled plans recycle arena slots without a zeroing
-/// pass.
+/// the GEMM row initializer), so the buffer's prior contents are irrelevant
+/// and a recycled buffer needs no zeroing pass.
 ///
 /// The forward lowering is *implicit*: each sample is handed to the GEMM as
 /// a virtual im2col view, so the packing loop reads the image directly and
@@ -246,8 +245,7 @@ pub fn conv2d_packed_into(
     );
     let in_sz = c_in * h * wd;
     let out_sz = c_out * ho * wo;
-    let pointwise = geom.kh == 1 && geom.kw == 1 && geom.sh == 1 && geom.sw == 1 && geom.ph == 0;
-    let pointwise = pointwise && geom.pw == 0;
+    let pointwise = geom == ConvGeometry::pointwise();
     let xs = x.as_slice();
     let shared_out = SharedMut::new(out);
     threadpool::parallel_for(n, &|ni| {
@@ -421,81 +419,19 @@ fn dw_shapes(
 pub fn depthwise_conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, geom: ConvGeometry) -> Tensor {
     let (n, c, _, _, ho, wo) = dw_shapes(x, w, geom);
     let mut out = Tensor::zeros([n, c, ho, wo]);
-    depthwise_conv2d_into(x, w, b, geom, out.as_mut_slice());
+    depthwise_conv2d_fused_into(x, w, b, geom, Epilogue::None, out.as_mut_slice());
     out
 }
 
-/// [`depthwise_conv2d`] writing into a caller-provided flat output buffer of
-/// length `n * c * ho * wo`; every element is overwritten. See
-/// [`conv2d_into`] for the buffer-recycling rationale.
+/// [`depthwise_conv2d`] with an activation fused into the epilogue, writing
+/// into a caller-provided flat output buffer of length `n * c * ho * wo`;
+/// every element is overwritten.
 ///
-/// # Panics
-///
-/// Panics on shape inconsistencies or a wrong `out` length.
-pub fn depthwise_conv2d_into(
-    x: &Tensor,
-    w: &Tensor,
-    b: Option<&Tensor>,
-    geom: ConvGeometry,
-    out: &mut [f32],
-) {
-    let (n, c, _, _, ho, wo) = dw_shapes(x, w, geom);
-    if let Some(b) = b {
-        assert_eq!(b.dims(), &[c], "depthwise bias shape");
-    }
-    assert_eq!(out.len(), n * c * ho * wo, "depthwise_conv2d_into length");
-    depthwise_dispatch(x, w, b, geom, Epilogue::None, out);
-}
-
-/// Shared forward driver behind [`depthwise_conv2d_into`] and
-/// [`depthwise_conv2d_fused_into`]: one task per sample, with the (possibly
-/// identity) epilogue applied to the finished sample inside the same task.
-/// The per-channel stencil runs through [`crate::depthwise::dw_channel_rows`],
-/// on the AVX2 row-strip kernel where [`crate::depthwise::row_strip`] picks
-/// it and the scalar reference otherwise — bitwise identical either way, so
-/// the choice is speed-only.
-fn depthwise_dispatch(
-    x: &Tensor,
-    w: &Tensor,
-    b: Option<&Tensor>,
-    geom: ConvGeometry,
-    act: Epilogue,
-    out: &mut [f32],
-) {
-    let (n, c, h, wd, ho, wo) = dw_shapes(x, w, geom);
-    if out.is_empty() {
-        return;
-    }
-    let xs = x.as_slice();
-    let ws = w.as_slice();
-    let bias = b.map(Tensor::as_slice);
-    let in_sz = c * h * wd;
-    let out_sz = c * ho * wo;
-    let simd = crate::depthwise::row_strip(c, geom.kh * geom.kw, ho * wo);
-    let shared_out = SharedMut::new(out);
-    threadpool::parallel_for(n, &|ni| {
-        // Safety: each task writes only its own sample's output window.
-        let o_sample = unsafe { shared_out.slice(ni * out_sz, out_sz) };
-        let x_s = &xs[ni * in_sz..(ni + 1) * in_sz];
-        for ci in 0..c {
-            let plane = &x_s[ci * h * wd..(ci + 1) * h * wd];
-            let ker = &ws[ci * geom.kh * geom.kw..(ci + 1) * geom.kh * geom.kw];
-            let o_plane = &mut o_sample[ci * ho * wo..(ci + 1) * ho * wo];
-            let bv = bias.map(|b| b[ci]).unwrap_or(0.0);
-            crate::depthwise::dw_channel_rows(
-                plane, 0, h, wd, ker, bv, geom, wo, 0, ho, o_plane, simd,
-            );
-        }
-        act.apply(o_sample);
-    });
-}
-
-/// [`depthwise_conv2d_into`] with an activation fused into the epilogue.
-///
-/// The accumulation loops are identical to the unfused kernel (both run
-/// through one shared driver); the epilogue runs over each finished sample
-/// inside the same parallel task, so the bits match
-/// [`depthwise_conv2d_into`] followed by a separate elementwise pass.
+/// One task per sample runs each channel through
+/// [`crate::depthwise::dw_channel_rows`] and then the (possibly identity)
+/// epilogue over the finished sample, so the bits match the plain
+/// convolution followed by a separate elementwise pass, at every thread
+/// width.
 ///
 /// # Panics
 ///
@@ -508,7 +444,7 @@ pub fn depthwise_conv2d_fused_into(
     act: Epilogue,
     out: &mut [f32],
 ) {
-    let (n, c, _, _, ho, wo) = dw_shapes(x, w, geom);
+    let (n, c, h, wd, ho, wo) = dw_shapes(x, w, geom);
     assert_eq!(
         out.len(),
         n * c * ho * wo,
@@ -517,7 +453,28 @@ pub fn depthwise_conv2d_fused_into(
     if let Some(b) = b {
         assert_eq!(b.dims(), &[c], "depthwise bias shape");
     }
-    depthwise_dispatch(x, w, b, geom, act, out);
+    if out.is_empty() {
+        return;
+    }
+    let xs = x.as_slice();
+    let ws = w.as_slice();
+    let bias = b.map(Tensor::as_slice);
+    let in_sz = c * h * wd;
+    let out_sz = c * ho * wo;
+    let shared_out = SharedMut::new(out);
+    threadpool::parallel_for(n, &|ni| {
+        // Safety: each task writes only its own sample's output window.
+        let o_sample = unsafe { shared_out.slice(ni * out_sz, out_sz) };
+        let x_s = &xs[ni * in_sz..(ni + 1) * in_sz];
+        for ci in 0..c {
+            let plane = &x_s[ci * h * wd..(ci + 1) * h * wd];
+            let ker = &ws[ci * geom.kh * geom.kw..(ci + 1) * geom.kh * geom.kw];
+            let o_plane = &mut o_sample[ci * ho * wo..(ci + 1) * ho * wo];
+            let bv = bias.map(|b| b[ci]).unwrap_or(0.0);
+            crate::depthwise::dw_channel_rows(plane, 0, h, wd, ker, bv, geom, wo, 0, ho, o_plane);
+        }
+        act.apply(o_sample);
+    });
 }
 
 /// The pointwise (1x1, stride-1, unpadded) conv forward over a materialized

@@ -23,39 +23,28 @@
 //! The quantized path accumulates `u8 x i8` products in exact i32 integer
 //! arithmetic with out-of-bounds taps substituted by [`Q_ZERO`] (the
 //! quantized value of a padding zero), corrected by the exact zero-point
-//! term `Q_ZERO * kersum`, then dequantized with one multiply and one add —
-//! the identical f32 expression scalar and SIMD, so it is bitwise invariant
+//! term `Q_ZERO * kersum`, then written through the int8 GEMM's epilogue
+//! ([`QOut`]): dequantize, activation and, for a u8 output, requantize —
+//! the same f32 expressions scalar and SIMD, so it is bitwise invariant
 //! across schedules, widths, and strip splits like [`crate::qgemm`].
 //!
 //! ## Selection
 //!
 //! Fixed-size fast paths exist for the geometries tiny inverted-residual
-//! models actually use — 3x3 and 5x5 at stride 1 and 2. [`row_strip`], a
-//! pure function of the shape, decides whether a layer runs them or the
-//! scalar reference. Since the two produce identical bits, the choice is
-//! purely a speed decision. The 1x1, stride-1, unpadded kernel that
-//! NetBooster's expansion inserts runs one `bias + x * k` pass on either
-//! side of that choice: it is the scalar reference's expression for one
-//! tap.
+//! models actually use — 3x3 and 5x5 at stride 1 and 2 — and run wherever
+//! the host has AVX2; other geometries and hosts run the scalar loops. The
+//! int8 kernel additionally needs one 8-wide group of interior columns: on
+//! a narrower plane every column is a border column, and the scalar loop,
+//! which accumulates eight columns at a time and runs the vector epilogue
+//! on each full chunk, is faster. Every choice gives the same bits. The
+//! 1x1, stride-1, unpadded kernel that NetBooster's expansion inserts runs
+//! one `bias + x * k` pass: the scalar reference's expression for one tap.
 
 use crate::eltwise::Epilogue;
-use crate::qgemm::{QW_MAX, Q_ZERO};
+use crate::qgemm::{Dequant, QOut, QNR, QW_MAX, Q_ZERO};
 use crate::simd::have_avx2;
 use crate::threadpool::{self, SharedMut};
 use crate::ConvGeometry;
-
-/// Multiply-adds per sample from which [`row_strip`] picks the SIMD
-/// kernels.
-const ROW_STRIP_MACS: usize = 16 * 16 * 16;
-
-/// Whether a depthwise layer of `c` channels, `taps = kh * kw` and
-/// `plane = ho * wo` output pixels runs the row-strip SIMD kernels (where
-/// the host and geometry allow them) rather than the scalar reference:
-/// from `16³` multiply-adds per sample. The two produce identical bits, so
-/// this is a speed decision only.
-pub fn row_strip(c: usize, taps: usize, plane: usize) -> bool {
-    c * taps * plane >= ROW_STRIP_MACS
-}
 
 /// Scalar reference: output columns `[j0, j1)` of absolute output row `oi`
 /// for one channel. `plane` holds input rows `[h0, h0 + plane.len()/w)` of
@@ -120,17 +109,28 @@ pub(crate) fn interior_hi(
     hi.min(wo).max(lo)
 }
 
+/// True when the 8-wide vector group at output column `oj` fits: all eight
+/// columns are interior (below `int_hi`), and for stride 2, which reads 16
+/// consecutive elements per tap (even lanes kept), the last load stays in
+/// the input row: last touched index `oj*2 + kw - 1 - pw + 15 <= w - 1`.
+/// Monotone in `oj`, so false at the first interior column means no group
+/// fits in the row.
+#[inline(always)]
+fn vec_group_fits(oj: usize, int_hi: usize, sw: usize, kw: usize, w: usize, pw: usize) -> bool {
+    oj + 8 <= int_hi && (sw == 1 || oj * 2 + kw + 15 <= w + pw)
+}
+
 /// Computes f32 depthwise output rows `[o0, o1)` for one channel.
 ///
 /// `plane` holds input rows `[h0, h0 + plane.len()/w)` of the logical
 /// `[h, w]` channel plane; callers must supply every row the requested
 /// output rows read (full planes pass `h0 = 0`). `out` is the
-/// `(o1 - o0) * wo` destination. `simd` selects the AVX2 fast path when the
-/// geometry has one (3x3 / 5x5, stride 1 / 2); the result is bitwise
-/// identical either way — see the module docs. A 1x1, stride-1, unpadded
-/// kernel (the layer NetBooster's expansion inserts) runs one
-/// `bias + x * k` pass over the rows whatever `simd` says: that is the
-/// scalar reference's expression for a single tap.
+/// `(o1 - o0) * wo` destination. The AVX2 kernel runs where the host has
+/// AVX2 and the geometry has one (3x3 / 5x5, stride 1 / 2), the scalar
+/// reference elsewhere; the result is bitwise identical either way — see
+/// the module docs. A 1x1, stride-1, unpadded kernel (the layer
+/// NetBooster's expansion inserts) runs one `bias + x * k` pass over the
+/// rows: that is the scalar reference's expression for a single tap.
 ///
 /// # Panics
 ///
@@ -148,7 +148,6 @@ pub fn dw_channel_rows(
     o0: usize,
     o1: usize,
     out: &mut [f32],
-    simd: bool,
 ) {
     assert_eq!(
         ker.len(),
@@ -157,7 +156,7 @@ pub fn dw_channel_rows(
     );
     assert_eq!(out.len(), (o1 - o0) * wo, "dw_channel_rows output length");
     assert_eq!(plane.len() % w, 0, "dw_channel_rows plane length");
-    if geom.kh == 1 && geom.kw == 1 && (geom.sh, geom.sw, geom.ph, geom.pw) == (1, 1, 0, 0) {
+    if geom == ConvGeometry::pointwise() {
         // Output row oi reads input row oi, and wo == w.
         let k = ker[0];
         let rows = &plane[(o0 - h0) * w..(o1 - h0) * w];
@@ -167,34 +166,21 @@ pub fn dw_channel_rows(
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if simd && have_avx2() {
-        // Safety: AVX2 presence checked at runtime just above.
-        let done = unsafe {
-            match (geom.kh, geom.kw, geom.sw) {
-                (3, 3, 1) => {
-                    x86::dw_rows_avx2::<3, 3, 1>(plane, h0, h, w, ker, bv, geom, wo, o0, o1, out);
-                    true
-                }
-                (3, 3, 2) => {
-                    x86::dw_rows_avx2::<3, 3, 2>(plane, h0, h, w, ker, bv, geom, wo, o0, o1, out);
-                    true
-                }
-                (5, 5, 1) => {
-                    x86::dw_rows_avx2::<5, 5, 1>(plane, h0, h, w, ker, bv, geom, wo, o0, o1, out);
-                    true
-                }
-                (5, 5, 2) => {
-                    x86::dw_rows_avx2::<5, 5, 2>(plane, h0, h, w, ker, bv, geom, wo, o0, o1, out);
-                    true
-                }
-                _ => false,
-            }
-        };
-        if done {
-            return;
+    'simd: {
+        if !have_avx2() {
+            break 'simd;
         }
+        let kernel = match (geom.kh, geom.kw, geom.sw) {
+            (3, 3, 1) => x86::dw_rows_avx2::<3, 3, 1>,
+            (3, 3, 2) => x86::dw_rows_avx2::<3, 3, 2>,
+            (5, 5, 1) => x86::dw_rows_avx2::<5, 5, 1>,
+            (5, 5, 2) => x86::dw_rows_avx2::<5, 5, 2>,
+            _ => break 'simd,
+        };
+        // Safety: AVX2 presence checked at runtime just above.
+        unsafe { kernel(plane, h0, h, w, ker, bv, geom, wo, o0, o1, out) };
+        return;
     }
-    let _ = simd;
     for oi in o0..o1 {
         let out_row = &mut out[(oi - o0) * wo..(oi - o0 + 1) * wo];
         dw_cols_scalar(plane, h0, h, w, ker, geom, bv, oi, 0, wo, out_row);
@@ -204,6 +190,7 @@ pub fn dw_channel_rows(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
+    use crate::qgemm::qx86::put_avx2;
     use crate::simd::x86::{load_f32x8, load_u8x16, load_u8x8, store_f32x8, store_i32x8};
     use std::arch::x86_64::*;
 
@@ -238,16 +225,11 @@ mod x86 {
         let bvv = _mm256_set1_ps(bv);
         let int_lo = interior_lo(pw, SW, wo);
         let int_hi = interior_hi(w, pw, KW, SW, wo, int_lo);
-        // Stride-2 reads 16 consecutive floats per tap (even lanes kept), so
-        // the last vector group additionally needs load headroom inside the
-        // input row: last touched index `oj*2 + KW - 1 - pw + 15 <= w - 1`.
-        let vec_ok =
-            |oj: usize| -> bool { oj + 8 <= int_hi && (SW == 1 || oj * 2 + KW + 15 <= w + pw) };
         for oi in o0..o1 {
             let out_row = &mut out[(oi - o0) * wo..(oi - o0 + 1) * wo];
             dw_cols_scalar(plane, h0, h, w, ker, geom, bv, oi, 0, int_lo, out_row);
             let mut oj = int_lo;
-            while vec_ok(oj) {
+            while vec_group_fits(oj, int_hi, SW, KW, w, pw) {
                 let mut acc = bvv;
                 for (ki, kr) in kv.iter().enumerate() {
                     let ii = (oi * sh + ki) as isize - ph as isize;
@@ -278,11 +260,11 @@ mod x86 {
     }
 
     /// Quantized twin of [`dw_rows_avx2`]: `u8 x i8` taps accumulated in
-    /// exact i32 lanes. Out-of-bounds kernel *rows* contribute
-    /// `Q_ZERO * rowsum` to the accumulator init (integer-exact equivalent
-    /// of per-tap substitution); horizontal out-of-bounds never occurs for
-    /// interior columns. Dequantization is the same
-    /// `(acc - corr) * scale + base` expression the scalar path runs.
+    /// exact i32 lanes, each group of eight written through the AVX2
+    /// epilogue. Out-of-bounds kernel *rows* contribute `Q_ZERO * rowsum`
+    /// to the accumulator init (integer-exact equivalent of per-tap
+    /// substitution); horizontal out-of-bounds never occurs for interior
+    /// columns. Border columns run the scalar loop [`qdw_cols`].
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn qdw_rows_avx2<const KH: usize, const KW: usize, const SW: usize>(
@@ -291,36 +273,29 @@ mod x86 {
         h: usize,
         w: usize,
         qk: &[i8],
-        rowsums: &[i32],
-        corr: i32,
-        scale: f32,
-        base: f32,
         geom: ConvGeometry,
         wo: usize,
         o0: usize,
         o1: usize,
-        out: &mut [f32],
+        e: &Dequant,
+        out: &mut QOut,
     ) {
         let (sh, ph, pw) = (geom.sh, geom.ph, geom.pw);
         let mut kv = [[_mm256_setzero_si256(); KW]; KH];
-        for (ki, kr) in kv.iter_mut().enumerate() {
+        let mut rowsums = [0i32; KH];
+        for (ki, (kr, rs)) in kv.iter_mut().zip(&mut rowsums).enumerate() {
             for (kj, t) in kr.iter_mut().enumerate() {
-                *t = _mm256_set1_epi32(qk[ki * KW + kj] as i32);
+                let q = qk[ki * KW + kj] as i32;
+                *t = _mm256_set1_epi32(q);
+                *rs += q;
             }
         }
-        let corr_v = _mm256_set1_epi32(corr);
-        let scale_v = _mm256_set1_ps(scale);
-        let base_v = _mm256_set1_ps(base);
         let even = _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, -1, -1, -1, -1, -1, -1, -1, -1);
         let int_lo = interior_lo(pw, SW, wo);
         let int_hi = interior_hi(w, pw, KW, SW, wo, int_lo);
-        let vec_ok =
-            |oj: usize| -> bool { oj + 8 <= int_hi && (SW == 1 || oj * 2 + KW + 15 <= w + pw) };
         for oi in o0..o1 {
-            let out_row = &mut out[(oi - o0) * wo..(oi - o0 + 1) * wo];
-            qdw_cols_scalar(
-                qplane, h0, h, w, qk, corr, scale, base, geom, oi, 0, int_lo, out_row,
-            );
+            let at = (oi - o0) * wo;
+            qdw_cols(qplane, h0, h, w, qk, geom, oi, 0, int_lo, e, out, at, true);
             // Taps in out-of-bounds kernel rows all read Q_ZERO; fold them
             // into the accumulator start (exact: integer addition commutes).
             let mut oob = 0i32;
@@ -332,7 +307,7 @@ mod x86 {
             }
             let init = _mm256_set1_epi32(oob);
             let mut oj = int_lo;
-            while vec_ok(oj) {
+            while vec_group_fits(oj, int_hi, SW, KW, w, pw) {
                 let mut acc = init;
                 for (ki, kr) in kv.iter().enumerate() {
                     let ii = (oi * sh + ki) as isize - ph as isize;
@@ -352,153 +327,77 @@ mod x86 {
                         acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(xv, kt));
                     }
                 }
-                let f = _mm256_cvtepi32_ps(_mm256_sub_epi32(acc, corr_v));
-                let y = _mm256_add_ps(_mm256_mul_ps(f, scale_v), base_v);
-                store_f32x8(out_row, oj, y);
-                oj += 8;
-            }
-            qdw_cols_scalar(
-                qplane, h0, h, w, qk, corr, scale, base, geom, oi, oj, wo, out_row,
-            );
-        }
-    }
-
-    /// [`qdw_rows_avx2`] with the requantizing epilogue: interior groups
-    /// hand their 8 exact i32 accumulators to
-    /// [`crate::qgemm::qx86::dequant_act_requant_avx2`], which runs the same
-    /// dequant → act → `vcvtps2dq` requantize chain the dense path uses;
-    /// border columns run the scalar requant reference. Bytes equal the f32
-    /// kernel + `act.apply` + `quantize_activations`.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn qdw_rows_requant_avx2<
-        const KH: usize,
-        const KW: usize,
-        const SW: usize,
-    >(
-        qplane: &[u8],
-        h0: usize,
-        h: usize,
-        w: usize,
-        qk: &[i8],
-        rowsums: &[i32],
-        corr: i32,
-        scale: f32,
-        base: f32,
-        act: Epilogue,
-        inv: f32,
-        geom: ConvGeometry,
-        wo: usize,
-        o0: usize,
-        o1: usize,
-        out: &mut [u8],
-    ) {
-        let (sh, ph, pw) = (geom.sh, geom.ph, geom.pw);
-        let mut kv = [[_mm256_setzero_si256(); KW]; KH];
-        for (ki, kr) in kv.iter_mut().enumerate() {
-            for (kj, t) in kr.iter_mut().enumerate() {
-                *t = _mm256_set1_epi32(qk[ki * KW + kj] as i32);
-            }
-        }
-        let even = _mm_setr_epi8(0, 2, 4, 6, 8, 10, 12, 14, -1, -1, -1, -1, -1, -1, -1, -1);
-        let int_lo = interior_lo(pw, SW, wo);
-        let int_hi = interior_hi(w, pw, KW, SW, wo, int_lo);
-        let vec_ok =
-            |oj: usize| -> bool { oj + 8 <= int_hi && (SW == 1 || oj * 2 + KW + 15 <= w + pw) };
-        for oi in o0..o1 {
-            let out_row = &mut out[(oi - o0) * wo..(oi - o0 + 1) * wo];
-            qdw_cols_scalar_requant(
-                qplane, h0, h, w, qk, corr, scale, base, act, inv, geom, oi, 0, int_lo, out_row,
-            );
-            let mut oob = 0i32;
-            for (ki, &rs) in rowsums.iter().enumerate() {
-                let ii = (oi * sh + ki) as isize - ph as isize;
-                if ii < 0 || ii >= h as isize {
-                    oob += Q_ZERO as i32 * rs;
-                }
-            }
-            let init = _mm256_set1_epi32(oob);
-            let mut oj = int_lo;
-            while vec_ok(oj) {
-                let mut acc = init;
-                for (ki, kr) in kv.iter().enumerate() {
-                    let ii = (oi * sh + ki) as isize - ph as isize;
-                    if ii < 0 || ii >= h as isize {
-                        continue;
-                    }
-                    let row = &qplane[(ii as usize - h0) * w..(ii as usize - h0 + 1) * w];
-                    for (kj, &kt) in kr.iter().enumerate() {
-                        let base_j = oj * SW + kj - pw;
-                        let xv = if SW == 1 {
-                            let lo = load_u8x8(row, base_j);
-                            _mm256_cvtepu8_epi32(lo)
-                        } else {
-                            let v = load_u8x16(row, base_j);
-                            _mm256_cvtepu8_epi32(_mm_shuffle_epi8(v, even))
-                        };
-                        acc = _mm256_add_epi32(acc, _mm256_mullo_epi32(xv, kt));
-                    }
-                }
-                let mut lanes = [0i32; 8];
+                let mut lanes = [0i32; QNR];
                 store_i32x8(&mut lanes, 0, acc);
-                crate::qgemm::qx86::dequant_act_requant_avx2(
-                    &lanes,
-                    corr,
-                    scale,
-                    base,
-                    act,
-                    inv,
-                    &mut out_row[oj..oj + 8],
-                );
+                put_avx2(out, at + oj, &lanes, e.corr, e.scale, e.base, e.act, e.inv);
                 oj += 8;
             }
-            qdw_cols_scalar_requant(
-                qplane, h0, h, w, qk, corr, scale, base, act, inv, geom, oi, oj, wo, out_row,
-            );
+            qdw_cols(qplane, h0, h, w, qk, geom, oi, oj, wo, e, out, at, true);
         }
     }
 }
 
-/// Scalar reference for the quantized kernel: output columns `[j0, j1)` of
-/// absolute output row `oi`. Every `kh * kw` tap is accumulated — with
-/// [`Q_ZERO`] substituted for out-of-bounds taps, since padding quantizes
-/// real zeros to the zero point — making the correction `Q_ZERO * kersum`
-/// exact. Dequantization: `(acc - corr) as f32 * scale + base`.
+/// The int8 scalar loop: output columns `[j0, j1)` of absolute output row
+/// `oi`, written through the epilogue `e` to elements `[at + j0, at + j1)`
+/// of `out`. Every `kh * kw` tap is accumulated — with [`Q_ZERO`]
+/// substituted for out-of-bounds taps, since padding quantizes real zeros
+/// to the zero point — making the correction `Q_ZERO * kersum` exact.
+/// Columns accumulate in chunks of eight, so with `avx2` each full chunk
+/// runs the vector epilogue: on narrow planes every column comes through
+/// here, and a per-element epilogue would dominate.
+///
+/// # Safety
+///
+/// `avx2` may be true only on a host with AVX2.
+// Inlined into `qdw_channel_rows`, whose narrow-plane loop runs every
+// column through it: called once per row, its operands would spill around
+// every chunk. The AVX2 kernels call it out of line for their border
+// columns.
+#[inline]
 #[allow(clippy::too_many_arguments)]
-fn qdw_cols_scalar(
+unsafe fn qdw_cols(
     qplane: &[u8],
     h0: usize,
     h: usize,
     w: usize,
     qk: &[i8],
-    corr: i32,
-    scale: f32,
-    base: f32,
     geom: ConvGeometry,
     oi: usize,
     j0: usize,
     j1: usize,
-    out_row: &mut [f32],
+    e: &Dequant,
+    out: &mut QOut,
+    at: usize,
+    avx2: bool,
 ) {
-    for (oj, o) in out_row.iter_mut().enumerate().take(j1).skip(j0) {
-        let mut acc = 0i32;
-        for ki in 0..geom.kh {
-            let ii = (oi * geom.sh + ki) as isize - geom.ph as isize;
-            let row = if ii < 0 || ii >= h as isize {
-                None
-            } else {
-                Some(&qplane[(ii as usize - h0) * w..(ii as usize - h0 + 1) * w])
-            };
-            for kj in 0..geom.kw {
-                let jj = (oj * geom.sw + kj) as isize - geom.pw as isize;
-                let qx = match row {
-                    Some(r) if jj >= 0 && jj < w as isize => r[jj as usize] as i32,
-                    _ => Q_ZERO as i32,
+    let mut acc = [0i32; QNR];
+    let mut js = j0;
+    while js < j1 {
+        let je = (js + QNR).min(j1);
+        for (oj, a) in (js..je).zip(&mut acc) {
+            // A local sum stays in a register; `*a` would be a memory
+            // read-modify-write per tap.
+            let mut sum = 0i32;
+            for ki in 0..geom.kh {
+                let ii = (oi * geom.sh + ki) as isize - geom.ph as isize;
+                let row = if ii < 0 || ii >= h as isize {
+                    None
+                } else {
+                    Some(&qplane[(ii as usize - h0) * w..(ii as usize - h0 + 1) * w])
                 };
-                acc += qx * qk[ki * geom.kw + kj] as i32;
+                for kj in 0..geom.kw {
+                    let jj = (oj * geom.sw + kj) as isize - geom.pw as isize;
+                    let qx = match row {
+                        Some(r) if jj >= 0 && jj < w as isize => r[jj as usize] as i32,
+                        _ => Q_ZERO as i32,
+                    };
+                    sum += qx * qk[ki * geom.kw + kj] as i32;
+                }
             }
+            *a = sum;
         }
-        *o = (acc - corr) as f32 * scale + base;
+        out.put(at + js, &acc[..je - js], e, avx2);
+        js = je;
     }
 }
 
@@ -508,9 +407,13 @@ fn qdw_cols_scalar(
 ///
 /// `qk` is the channel's quantized `[kh * kw]` filter, `kersum` the sum of
 /// all its taps (for the exact zero-point correction), `scale` the combined
-/// dequantization factor `weight_scale * x_scale`, and `base` the channel
-/// bias. Bitwise identical for every `simd` value, thread width, and strip
-/// split — the accumulation is exact integer arithmetic.
+/// dequantization factor `weight_scale * x_scale`, `base` the channel bias
+/// and `act` the activation. `out` takes f32 rows, or u8 rows requantized
+/// at an output scale: the bytes [`crate::qgemm::quantize_activations`]
+/// gives the f32 rows, without the f32 intermediate (the fused
+/// inverted-residual executor hands them straight to the int8 project
+/// GEMM). Bitwise identical for every kernel choice, thread width, and
+/// strip split — the accumulation is exact integer arithmetic.
 ///
 /// # Panics
 ///
@@ -525,12 +428,12 @@ pub fn qdw_channel_rows(
     kersum: i32,
     scale: f32,
     base: f32,
+    act: Epilogue,
     geom: ConvGeometry,
     wo: usize,
     o0: usize,
     o1: usize,
-    out: &mut [f32],
-    simd: bool,
+    mut out: QOut,
 ) {
     assert_eq!(
         qk.len(),
@@ -539,349 +442,44 @@ pub fn qdw_channel_rows(
     );
     assert_eq!(out.len(), (o1 - o0) * wo, "qdw_channel_rows output length");
     assert_eq!(qplane.len() % w, 0, "qdw_channel_rows plane length");
-    let corr = Q_ZERO as i32 * kersum;
+    let e = Dequant {
+        corr: Q_ZERO as i32 * kersum,
+        scale,
+        base,
+        act,
+        inv: out.inv(),
+    };
+    let avx2 = have_avx2();
     #[cfg(target_arch = "x86_64")]
-    // `geom.kh <= 8` bounds the rowsums fill below; larger kernels take the
-    // scalar path like the f32 twin (the dispatch only covers 3x3/5x5 anyway).
-    if simd && geom.kh <= 8 && have_avx2() {
-        let mut rowsums = [0i32; 8];
-        for ki in 0..geom.kh {
-            rowsums[ki] = qk[ki * geom.kw..(ki + 1) * geom.kw]
-                .iter()
-                .map(|&q| q as i32)
-                .sum();
+    'simd: {
+        // The vector kernel pays only when one group of eight interior
+        // columns fits. On a narrower plane every column is a border column,
+        // and the scalar loop below, which runs the vector epilogue on each
+        // full chunk, is faster.
+        let int_lo = interior_lo(geom.pw, geom.sw, wo);
+        let int_hi = interior_hi(w, geom.pw, geom.kw, geom.sw, wo, int_lo);
+        if !vec_group_fits(int_lo, int_hi, geom.sw, geom.kw, w, geom.pw) || !avx2 {
+            break 'simd;
         }
-        // Safety: AVX2 presence checked at runtime just above.
-        let done = unsafe {
-            match (geom.kh, geom.kw, geom.sw) {
-                (3, 3, 1) => {
-                    x86::qdw_rows_avx2::<3, 3, 1>(
-                        qplane,
-                        h0,
-                        h,
-                        w,
-                        qk,
-                        &rowsums[..3],
-                        corr,
-                        scale,
-                        base,
-                        geom,
-                        wo,
-                        o0,
-                        o1,
-                        out,
-                    );
-                    true
-                }
-                (3, 3, 2) => {
-                    x86::qdw_rows_avx2::<3, 3, 2>(
-                        qplane,
-                        h0,
-                        h,
-                        w,
-                        qk,
-                        &rowsums[..3],
-                        corr,
-                        scale,
-                        base,
-                        geom,
-                        wo,
-                        o0,
-                        o1,
-                        out,
-                    );
-                    true
-                }
-                (5, 5, 1) => {
-                    x86::qdw_rows_avx2::<5, 5, 1>(
-                        qplane,
-                        h0,
-                        h,
-                        w,
-                        qk,
-                        &rowsums[..5],
-                        corr,
-                        scale,
-                        base,
-                        geom,
-                        wo,
-                        o0,
-                        o1,
-                        out,
-                    );
-                    true
-                }
-                (5, 5, 2) => {
-                    x86::qdw_rows_avx2::<5, 5, 2>(
-                        qplane,
-                        h0,
-                        h,
-                        w,
-                        qk,
-                        &rowsums[..5],
-                        corr,
-                        scale,
-                        base,
-                        geom,
-                        wo,
-                        o0,
-                        o1,
-                        out,
-                    );
-                    true
-                }
-                _ => false,
-            }
+        let kernel = match (geom.kh, geom.kw, geom.sw) {
+            (3, 3, 1) => x86::qdw_rows_avx2::<3, 3, 1>,
+            (3, 3, 2) => x86::qdw_rows_avx2::<3, 3, 2>,
+            (5, 5, 1) => x86::qdw_rows_avx2::<5, 5, 1>,
+            (5, 5, 2) => x86::qdw_rows_avx2::<5, 5, 2>,
+            _ => break 'simd,
         };
-        if done {
-            return;
-        }
-    }
-    let _ = simd;
-    for oi in o0..o1 {
-        let out_row = &mut out[(oi - o0) * wo..(oi - o0 + 1) * wo];
-        qdw_cols_scalar(
-            qplane, h0, h, w, qk, corr, scale, base, geom, oi, 0, wo, out_row,
-        );
-    }
-}
-
-/// Requantizing twin of [`qdw_channel_rows`]: dequantizes each accumulator,
-/// applies `act`, and immediately requantizes to u8 at `out_scale` — the
-/// bytes are identical to [`qdw_channel_rows`] followed by `act.apply` and
-/// [`crate::qgemm::quantize_activations`] on the f32 rows, but the f32
-/// intermediate never exists. The fused inverted-residual executor uses
-/// this to hand the depthwise output straight to the int8 project GEMM.
-///
-/// # Panics
-///
-/// Panics if buffer lengths disagree with the geometry.
-#[allow(clippy::too_many_arguments)]
-pub fn qdw_channel_rows_requant(
-    qplane: &[u8],
-    h0: usize,
-    h: usize,
-    w: usize,
-    qk: &[i8],
-    kersum: i32,
-    scale: f32,
-    base: f32,
-    act: Epilogue,
-    out_scale: f32,
-    geom: ConvGeometry,
-    wo: usize,
-    o0: usize,
-    o1: usize,
-    out: &mut [u8],
-    simd: bool,
-) {
-    assert_eq!(
-        qk.len(),
-        geom.kh * geom.kw,
-        "qdw_channel_rows kernel length"
-    );
-    assert_eq!(out.len(), (o1 - o0) * wo, "qdw_channel_rows output length");
-    assert_eq!(qplane.len() % w, 0, "qdw_channel_rows plane length");
-    let corr = Q_ZERO as i32 * kersum;
-    let inv = 1.0 / out_scale;
-    // The stencil-vectorized path only pays when at least one group of
-    // eight interior columns exists (`vec_ok` at the first interior column
-    // — it is monotone, so false there means false everywhere). On
-    // narrower planes the chunked fallback below is faster: every column
-    // is border-ish anyway, and it still vectorizes the requant epilogue.
-    let int_lo = interior_lo(geom.pw, geom.sw, wo);
-    let int_hi = interior_hi(w, geom.pw, geom.kw, geom.sw, wo, int_lo);
-    let any_vec =
-        int_lo + 8 <= int_hi && (geom.sw == 1 || int_lo * 2 + geom.kw + 15 <= w + geom.pw);
-    #[cfg(target_arch = "x86_64")]
-    // `geom.kh <= 8` bounds the rowsums fill below; larger kernels take the
-    // scalar path like the f32 twin (the dispatch only covers 3x3/5x5 anyway).
-    if simd && any_vec && geom.kh <= 8 && have_avx2() {
-        let mut rowsums = [0i32; 8];
-        for ki in 0..geom.kh {
-            rowsums[ki] = qk[ki * geom.kw..(ki + 1) * geom.kw]
-                .iter()
-                .map(|&q| q as i32)
-                .sum();
-        }
         // Safety: AVX2 presence checked at runtime just above.
-        let done = unsafe {
-            match (geom.kh, geom.kw, geom.sw) {
-                (3, 3, 1) => {
-                    x86::qdw_rows_requant_avx2::<3, 3, 1>(
-                        qplane,
-                        h0,
-                        h,
-                        w,
-                        qk,
-                        &rowsums[..3],
-                        corr,
-                        scale,
-                        base,
-                        act,
-                        inv,
-                        geom,
-                        wo,
-                        o0,
-                        o1,
-                        out,
-                    );
-                    true
-                }
-                (3, 3, 2) => {
-                    x86::qdw_rows_requant_avx2::<3, 3, 2>(
-                        qplane,
-                        h0,
-                        h,
-                        w,
-                        qk,
-                        &rowsums[..3],
-                        corr,
-                        scale,
-                        base,
-                        act,
-                        inv,
-                        geom,
-                        wo,
-                        o0,
-                        o1,
-                        out,
-                    );
-                    true
-                }
-                (5, 5, 1) => {
-                    x86::qdw_rows_requant_avx2::<5, 5, 1>(
-                        qplane,
-                        h0,
-                        h,
-                        w,
-                        qk,
-                        &rowsums[..5],
-                        corr,
-                        scale,
-                        base,
-                        act,
-                        inv,
-                        geom,
-                        wo,
-                        o0,
-                        o1,
-                        out,
-                    );
-                    true
-                }
-                (5, 5, 2) => {
-                    x86::qdw_rows_requant_avx2::<5, 5, 2>(
-                        qplane,
-                        h0,
-                        h,
-                        w,
-                        qk,
-                        &rowsums[..5],
-                        corr,
-                        scale,
-                        base,
-                        act,
-                        inv,
-                        geom,
-                        wo,
-                        o0,
-                        o1,
-                        out,
-                    );
-                    true
-                }
-                _ => false,
-            }
-        };
-        if done {
-            return;
-        }
+        unsafe { kernel(qplane, h0, h, w, qk, geom, wo, o0, o1, &e, &mut out) };
+        return;
     }
-    let _ = (simd, any_vec);
     for oi in o0..o1 {
-        let out_row = &mut out[(oi - o0) * wo..(oi - o0 + 1) * wo];
-        qdw_cols_scalar_requant(
-            qplane, h0, h, w, qk, corr, scale, base, act, inv, geom, oi, 0, wo, out_row,
-        );
-    }
-}
-
-/// Scalar requantizing epilogue: [`qdw_cols_scalar`]'s accumulation with the
-/// dequant → `act` → requantize chain applied per element, in exactly the
-/// expression order the separate passes would use.
-#[allow(clippy::too_many_arguments)]
-fn qdw_cols_scalar_requant(
-    qplane: &[u8],
-    h0: usize,
-    h: usize,
-    w: usize,
-    qk: &[i8],
-    corr: i32,
-    scale: f32,
-    base: f32,
-    act: Epilogue,
-    inv: f32,
-    geom: ConvGeometry,
-    oi: usize,
-    j0: usize,
-    j1: usize,
-    out_row: &mut [u8],
-) {
-    // Columns accumulate in chunks of eight so the dequant + activation +
-    // requantize epilogue can run once per chunk through the vector helper
-    // (bitwise-identical to the per-element expression) instead of paying a
-    // per-element `Epilogue::apply` call — on narrow planes every column
-    // comes through here, and the per-element epilogue dominates.
-    #[cfg(target_arch = "x86_64")]
-    let vec_epilogue = have_avx2();
-    let mut accs = [0i32; 8];
-    let mut js = j0;
-    while js < j1 {
-        let je = (js + 8).min(j1);
-        for oj in js..je {
-            let mut acc = 0i32;
-            for ki in 0..geom.kh {
-                let ii = (oi * geom.sh + ki) as isize - geom.ph as isize;
-                let row = if ii < 0 || ii >= h as isize {
-                    None
-                } else {
-                    Some(&qplane[(ii as usize - h0) * w..(ii as usize - h0 + 1) * w])
-                };
-                for kj in 0..geom.kw {
-                    let jj = (oj * geom.sw + kj) as isize - geom.pw as isize;
-                    let qx = match row {
-                        Some(r) if jj >= 0 && jj < w as isize => r[jj as usize] as i32,
-                        _ => Q_ZERO as i32,
-                    };
-                    acc += qx * qk[ki * geom.kw + kj] as i32;
-                }
-            }
-            accs[oj - js] = acc;
-        }
-        #[cfg(target_arch = "x86_64")]
-        if vec_epilogue && je - js == 8 {
-            // Safety: AVX2 presence checked at runtime above.
-            unsafe {
-                crate::qgemm::qx86::dequant_act_requant_avx2(
-                    &accs,
-                    corr,
-                    scale,
-                    base,
-                    act,
-                    inv,
-                    &mut out_row[js..je],
-                );
-            }
-            js = je;
-            continue;
-        }
-        for oj in js..je {
-            let mut y = (accs[oj - js] - corr) as f32 * scale + base;
-            act.apply(std::slice::from_mut(&mut y));
-            out_row[oj] = ((y * inv).round_ties_even() as i32 + Q_ZERO as i32).clamp(0, 255) as u8;
-        }
-        js = je;
+        let at = (oi - o0) * wo;
+        // Safety: `avx2` is the host's answer.
+        unsafe {
+            qdw_cols(
+                qplane, h0, h, w, qk, geom, oi, 0, wo, &e, &mut out, at, avx2,
+            )
+        };
     }
 }
 
@@ -982,7 +580,7 @@ impl QDepthwiseW {
 
 /// Quantized depthwise convolution over a pre-quantized u8 batch
 /// `[n, c, h, w]`, writing dequantized f32 into `out` `[n, c, ho, wo]` with
-/// the (possibly identity) activation applied per sample.
+/// the (possibly identity) activation applied in the epilogue.
 ///
 /// `x_scale` is the activation quantization scale the caller used to
 /// produce `qx`. Samples run in parallel on the worker pool; outputs are
@@ -1019,7 +617,6 @@ pub fn qdepthwise_conv2d_into(
     if out.is_empty() {
         return;
     }
-    let simd = row_strip(c, geom.kh * geom.kw, ho * wo);
     let in_sz = c * h * w;
     let out_sz = c * ho * wo;
     let scales = qw.scales();
@@ -1041,15 +638,14 @@ pub fn qdepthwise_conv2d_into(
                 qw.kersum(ci),
                 scales[ci] * x_scale,
                 base,
+                act,
                 geom,
                 wo,
                 0,
                 ho,
-                o_plane,
-                simd,
+                QOut::F32(o_plane),
             );
         }
-        act.apply(o_sample);
     });
 }
 
@@ -1082,6 +678,10 @@ mod tests {
         ]
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn f32_simd_matches_scalar_bitwise() {
         for geom in edge_geoms() {
@@ -1102,17 +702,13 @@ mod tests {
                 let (ho, wo) = geom.output_hw(h, w);
                 let plane = fill(h * w, 0x1234);
                 let ker = fill(geom.kh * geom.kw, 0x5678);
-                let mut a = vec![0.0f32; ho * wo];
-                let mut b = vec![0.0f32; ho * wo];
-                dw_channel_rows(&plane, 0, h, w, &ker, 0.25, geom, wo, 0, ho, &mut a, false);
-                dw_channel_rows(&plane, 0, h, w, &ker, 0.25, geom, wo, 0, ho, &mut b, true);
-                for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "f32 dw mismatch geom {geom:?} h{h} w{w} at {i}"
-                    );
+                let mut want = vec![0.0f32; ho * wo];
+                for (oi, row) in want.chunks_mut(wo).enumerate() {
+                    dw_cols_scalar(&plane, 0, h, w, &ker, geom, 0.25, oi, 0, wo, row);
                 }
+                let mut got = vec![0.0f32; ho * wo];
+                dw_channel_rows(&plane, 0, h, w, &ker, 0.25, geom, wo, 0, ho, &mut got);
+                assert_eq!(bits(&got), bits(&want), "f32 dw geom {geom:?} h{h} w{w}");
             }
         }
     }
@@ -1132,30 +728,13 @@ mod tests {
                 // the full plane, and one strip of rows [1, h) read from a
                 // window that starts at row 1
                 let mut got = vec![0.0f32; h * w];
-                dw_channel_rows(&plane, 0, h, w, &ker, bv, geom, w, 0, h, &mut got, false);
+                dw_channel_rows(&plane, 0, h, w, &ker, bv, geom, w, 0, h, &mut got);
                 let mut strip = vec![0.0f32; (h - 1) * w];
-                dw_channel_rows(
-                    &plane[w..],
-                    1,
-                    h,
-                    w,
-                    &ker,
-                    bv,
-                    geom,
-                    w,
-                    1,
-                    h,
-                    &mut strip,
-                    true,
-                );
+                dw_channel_rows(&plane[w..], 1, h, w, &ker, bv, geom, w, 1, h, &mut strip);
+                assert_eq!(bits(&got), bits(&want), "1x1 h{h} w{w} bias {bv}");
                 assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "1x1 h{h} w{w} bias {bv}"
-                );
-                assert_eq!(
-                    strip.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want[w..].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    bits(&strip),
+                    bits(&want[w..]),
                     "1x1 strip h{h} w{w} bias {bv}"
                 );
             }
@@ -1170,9 +749,7 @@ mod tests {
         let plane = fill(h * w, 0xabc);
         let ker = fill(9, 0xdef);
         let mut full = vec![0.0f32; ho * wo];
-        dw_channel_rows(
-            &plane, 0, h, w, &ker, -0.5, geom, wo, 0, ho, &mut full, true,
-        );
+        dw_channel_rows(&plane, 0, h, w, &ker, -0.5, geom, wo, 0, ho, &mut full);
         for strip in [1usize, 2, 3, ho] {
             let mut out = vec![0.0f32; ho * wo];
             let mut o0 = 0;
@@ -1194,13 +771,12 @@ mod tests {
                     o0,
                     o1,
                     &mut out[o0 * wo..o1 * wo],
-                    true,
                 );
                 o0 = o1;
             }
             assert_eq!(
-                full.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                bits(&full),
+                bits(&out),
                 "strip {strip} diverges from full plane"
             );
         }
@@ -1270,211 +846,147 @@ mod tests {
         out
     }
 
-    #[test]
-    fn quant_kernel_matches_integer_reference_and_simd_scalar_bitwise() {
-        for geom in edge_geoms() {
-            for &(h, w) in &[(1usize, 1usize), (3, 7), (8, 8), (9, 17), (9, 18), (16, 5)] {
-                if h + 2 * geom.ph < geom.kh || w + 2 * geom.pw < geom.kw {
-                    continue;
-                }
-                let (ho, wo) = geom.output_hw(h, w);
-                let x = fill(h * w, 0x9a);
-                let wf = fill(geom.kh * geom.kw, 0xbc);
-                let qw = QDepthwiseW::pack(&wf, 1, geom.kh, geom.kw);
-                let x_scale = crate::qgemm::activation_scale(crate::qgemm::max_abs(&x));
-                let mut qx = vec![0u8; x.len()];
-                crate::qgemm::quantize_activations(&x, x_scale, &mut qx);
-                let cs = qw.scales()[0] * x_scale;
-                let reference = qdw_ref(&qx, h, w, qw.filter(0), qw.kersum(0), cs, 0.125, geom);
-                let mut scalar = vec![0.0f32; ho * wo];
-                let mut simd = vec![0.0f32; ho * wo];
-                qdw_channel_rows(
-                    &qx,
+    /// The int8 grid: the edge geometries plus a 9x9 kernel at both
+    /// strides (no vector kernel), over planes from narrower than one
+    /// 8-wide vector group to several groups wide.
+    fn quant_cases() -> Vec<(ConvGeometry, usize, usize)> {
+        let mut geoms = edge_geoms();
+        geoms.extend([ConvGeometry::same(9, 1), ConvGeometry::same(9, 2)]);
+        let planes = [
+            (1usize, 1usize),
+            (3, 7),
+            (8, 8),
+            (9, 17),
+            (9, 18),
+            (16, 5),
+            (12, 19),
+            (7, 24),
+            (17, 33),
+        ];
+        geoms
+            .into_iter()
+            .flat_map(|g| planes.iter().map(move |&(h, w)| (g, h, w)))
+            .filter(|&(g, h, w)| h + 2 * g.ph >= g.kh && w + 2 * g.pw >= g.kw)
+            .collect()
+    }
+
+    /// One quantized channel for [`quant_cases`]: the u8 plane, the packed
+    /// filter and the combined dequantization scale.
+    fn quant_channel(geom: ConvGeometry, h: usize, w: usize) -> (Vec<u8>, QDepthwiseW, f32) {
+        let x = fill(h * w, 0x9a);
+        let wf = fill(geom.kh * geom.kw, 0xbc);
+        let qw = QDepthwiseW::pack(&wf, 1, geom.kh, geom.kw);
+        let x_scale = crate::qgemm::activation_scale(crate::qgemm::max_abs(&x));
+        let mut qx = vec![0u8; x.len()];
+        crate::qgemm::quantize_activations(&x, x_scale, &mut qx);
+        let cs = qw.scales()[0] * x_scale;
+        (qx, qw, cs)
+    }
+
+    const ACTS: [Epilogue; 3] = [
+        Epilogue::None,
+        Epilogue::Relu { alpha: 0.0 },
+        Epilogue::Relu6 { alpha: 0.25 },
+    ];
+
+    /// The int8 scalar loop alone over a whole plane of channel 0, with the
+    /// scalar epilogue, or with the vector one on full chunks (`avx2`).
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_loop(
+        qx: &[u8],
+        h: usize,
+        w: usize,
+        qw: &QDepthwiseW,
+        cs: f32,
+        act: Epilogue,
+        geom: ConvGeometry,
+        mut out: QOut,
+        avx2: bool,
+    ) {
+        let (ho, wo) = geom.output_hw(h, w);
+        let e = Dequant {
+            corr: Q_ZERO as i32 * qw.kersum(0),
+            scale: cs,
+            base: 0.125,
+            act,
+            inv: out.inv(),
+        };
+        let qk = qw.filter(0);
+        for oi in 0..ho {
+            // Safety: callers pass `avx2` true only where the host has AVX2.
+            unsafe {
+                qdw_cols(
+                    qx,
                     0,
                     h,
                     w,
-                    qw.filter(0),
-                    qw.kersum(0),
-                    cs,
-                    0.125,
+                    qk,
                     geom,
+                    oi,
+                    0,
                     wo,
-                    0,
-                    ho,
-                    &mut scalar,
-                    false,
-                );
-                qdw_channel_rows(
-                    &qx,
-                    0,
-                    h,
-                    w,
-                    qw.filter(0),
-                    qw.kersum(0),
-                    cs,
-                    0.125,
-                    geom,
-                    wo,
-                    0,
-                    ho,
-                    &mut simd,
-                    true,
-                );
-                for i in 0..ho * wo {
-                    assert_eq!(
-                        scalar[i].to_bits(),
-                        reference[i].to_bits(),
-                        "scalar vs integer reference, geom {geom:?} h{h} w{w} at {i}"
-                    );
-                    assert_eq!(
-                        scalar[i].to_bits(),
-                        simd[i].to_bits(),
-                        "scalar vs simd, geom {geom:?} h{h} w{w} at {i}"
-                    );
-                }
-            }
+                    &e,
+                    &mut out,
+                    oi * wo,
+                    avx2,
+                )
+            };
         }
     }
 
     #[test]
-    fn quant_large_kernel_falls_back_to_scalar() {
-        // kh > 8 exceeds the SIMD paths' fixed rowsums capacity; both
-        // quantized entries must take the scalar path (no panic) and match
-        // the simd=false results bitwise, like the f32 twin does.
-        for geom in [ConvGeometry::same(9, 1), ConvGeometry::same(9, 2)] {
-            let (h, w) = (12usize, 19usize);
+    fn quant_kernel_matches_integer_reference_and_simd_scalar_bitwise() {
+        // The f32 output, from the dispatched kernel and from the scalar
+        // loop alone, equals the integer reference followed by `act.apply`.
+        for (geom, h, w) in quant_cases() {
             let (ho, wo) = geom.output_hw(h, w);
-            let x = fill(h * w, 0x51);
-            let wf = fill(geom.kh * geom.kw, 0x62);
-            let qw = QDepthwiseW::pack(&wf, 1, geom.kh, geom.kw);
-            let x_scale = crate::qgemm::activation_scale(crate::qgemm::max_abs(&x));
-            let mut qx = vec![0u8; x.len()];
-            crate::qgemm::quantize_activations(&x, x_scale, &mut qx);
-            let cs = qw.scales()[0] * x_scale;
-            let mut scalar = vec![0.0f32; ho * wo];
-            let mut simd = vec![0.0f32; ho * wo];
-            for (buf, s) in [(&mut scalar, false), (&mut simd, true)] {
-                qdw_channel_rows(
-                    &qx,
-                    0,
-                    h,
-                    w,
-                    qw.filter(0),
-                    qw.kersum(0),
-                    cs,
-                    0.125,
-                    geom,
-                    wo,
-                    0,
-                    ho,
-                    buf,
-                    s,
-                );
+            let (qx, qw, cs) = quant_channel(geom, h, w);
+            let (qk, ks) = (qw.filter(0), qw.kersum(0));
+            for act in ACTS {
+                let mut want = qdw_ref(&qx, h, w, qk, ks, cs, 0.125, geom);
+                act.apply(&mut want);
+                let case = format!("geom {geom:?} h{h} w{w} act {act:?}");
+                let mut got = vec![0.0f32; ho * wo];
+                let out = QOut::F32(&mut got);
+                qdw_channel_rows(&qx, 0, h, w, qk, ks, cs, 0.125, act, geom, wo, 0, ho, out);
+                assert_eq!(bits(&got), bits(&want), "kernel vs reference, {case}");
+                for avx2 in [false, have_avx2()] {
+                    let mut scalar = vec![0.0f32; ho * wo];
+                    let out = QOut::F32(&mut scalar);
+                    scalar_loop(&qx, h, w, &qw, cs, act, geom, out, avx2);
+                    let what = format!("scalar loop (avx2 {avx2}) vs reference, {case}");
+                    assert_eq!(bits(&scalar), bits(&want), "{what}");
+                }
             }
-            assert_eq!(
-                scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                simd.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "large-kernel qdw simd flag changed bytes, geom {geom:?}"
-            );
-            let act = Epilogue::Relu { alpha: 0.0 };
-            let mut want = vec![0u8; ho * wo];
-            let mut got = vec![0u8; ho * wo];
-            for (buf, s) in [(&mut want, false), (&mut got, true)] {
-                qdw_channel_rows_requant(
-                    &qx,
-                    0,
-                    h,
-                    w,
-                    qw.filter(0),
-                    qw.kersum(0),
-                    cs,
-                    0.125,
-                    act,
-                    0.02,
-                    geom,
-                    wo,
-                    0,
-                    ho,
-                    buf,
-                    s,
-                );
-            }
-            assert_eq!(
-                want, got,
-                "large-kernel qdw requant simd flag changed bytes, geom {geom:?}"
-            );
         }
     }
 
     #[test]
     fn requant_kernel_matches_separate_passes_bitwise() {
-        // The fused-executor contract: the requantizing epilogue's bytes
-        // must equal the f32 kernel + act.apply + quantize_activations,
-        // scalar and SIMD alike, over the same edge-geometry grid.
-        for geom in edge_geoms() {
-            for &(h, w) in &[(1usize, 1usize), (3, 7), (8, 8), (9, 17), (9, 18), (16, 5)] {
-                if h + 2 * geom.ph < geom.kh || w + 2 * geom.pw < geom.kw {
-                    continue;
-                }
-                let (ho, wo) = geom.output_hw(h, w);
-                let x = fill(h * w, 0x4d);
-                let wf = fill(geom.kh * geom.kw, 0x3e);
-                let qw = QDepthwiseW::pack(&wf, 1, geom.kh, geom.kw);
-                let x_scale = crate::qgemm::activation_scale(crate::qgemm::max_abs(&x));
-                let mut qx = vec![0u8; x.len()];
-                crate::qgemm::quantize_activations(&x, x_scale, &mut qx);
-                let cs = qw.scales()[0] * x_scale;
-                let out_scale = 0.013;
-                for act in [
-                    Epilogue::None,
-                    Epilogue::Relu { alpha: 0.0 },
-                    Epilogue::Relu6 { alpha: 0.25 },
-                ] {
-                    let mut f = vec![0.0f32; ho * wo];
-                    qdw_channel_rows(
-                        &qx,
-                        0,
-                        h,
-                        w,
-                        qw.filter(0),
-                        qw.kersum(0),
-                        cs,
-                        0.125,
-                        geom,
-                        wo,
-                        0,
-                        ho,
-                        &mut f,
-                        true,
-                    );
-                    act.apply(&mut f);
-                    let mut want = vec![0u8; ho * wo];
-                    crate::qgemm::quantize_activations(&f, out_scale, &mut want);
-                    for simd in [false, true] {
-                        let mut got = vec![0u8; ho * wo];
-                        qdw_channel_rows_requant(
-                            &qx,
-                            0,
-                            h,
-                            w,
-                            qw.filter(0),
-                            qw.kersum(0),
-                            cs,
-                            0.125,
-                            act,
-                            out_scale,
-                            geom,
-                            wo,
-                            0,
-                            ho,
-                            &mut got,
-                            simd,
-                        );
-                        assert_eq!(
-                            want, got,
-                            "requant bytes diverge, geom {geom:?} h{h} w{w} act {act:?} simd {simd}"
-                        );
-                    }
+        // The fused-executor contract: the u8 output's bytes, from the
+        // dispatched kernel and from the scalar loop alone, equal the f32
+        // output, then `act.apply`, then `quantize_activations`.
+        let out_scale = 0.013;
+        for (geom, h, w) in quant_cases() {
+            let (ho, wo) = geom.output_hw(h, w);
+            let (qx, qw, cs) = quant_channel(geom, h, w);
+            let (qk, ks) = (qw.filter(0), qw.kersum(0));
+            let f = qdw_ref(&qx, h, w, qk, ks, cs, 0.125, geom);
+            for act in ACTS {
+                let mut y = f.clone();
+                act.apply(&mut y);
+                let mut want = vec![0u8; ho * wo];
+                crate::qgemm::quantize_activations(&y, out_scale, &mut want);
+                let case = format!("geom {geom:?} h{h} w{w} act {act:?}");
+                let mut got = vec![0u8; ho * wo];
+                let out = QOut::U8(&mut got, out_scale);
+                qdw_channel_rows(&qx, 0, h, w, qk, ks, cs, 0.125, act, geom, wo, 0, ho, out);
+                assert_eq!(want, got, "requant bytes diverge, {case}");
+                for avx2 in [false, have_avx2()] {
+                    let mut scalar = vec![0u8; ho * wo];
+                    let out = QOut::U8(&mut scalar, out_scale);
+                    scalar_loop(&qx, h, w, &qw, cs, act, geom, out, avx2);
+                    assert_eq!(want, scalar, "scalar loop (avx2 {avx2}) bytes, {case}");
                 }
             }
         }
@@ -1513,9 +1025,7 @@ mod tests {
                 let plane = &x[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
                 let ker = &wf[ci * 9..(ci + 1) * 9];
                 let mut fref = vec![0.0f32; ho * wo];
-                dw_channel_rows(
-                    plane, 0, h, w, ker, bias[ci], geom, wo, 0, ho, &mut fref, false,
-                );
+                dw_channel_rows(plane, 0, h, w, ker, bias[ci], geom, wo, 0, ho, &mut fref);
                 let qpl = &qout[(ni * c + ci) * ho * wo..(ni * c + ci + 1) * ho * wo];
                 // 9 taps, each off by at most half an activation step times
                 // the weight magnitude plus half a weight step times |x|.

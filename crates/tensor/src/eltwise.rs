@@ -692,6 +692,17 @@ impl Epilogue {
         }
     }
 
+    /// The activation of one element: [`Epilogue::apply`]'s expression,
+    /// for kernel epilogues that hold a value rather than a buffer.
+    #[inline]
+    pub(crate) fn apply_one(self, v: f32) -> f32 {
+        match self {
+            Epilogue::None => v,
+            Epilogue::Relu { alpha } => relu_decay_elem(v, alpha),
+            Epilogue::Relu6 { alpha } => relu6_decay_elem(v, alpha),
+        }
+    }
+
     /// True when applying this epilogue would leave the buffer unchanged.
     pub fn is_identity(self) -> bool {
         match self {

@@ -1121,14 +1121,6 @@ mod tests {
         // The row split starts at 2^17 multiply-adds.
         assert!(!parallel(131071, 1, 1), "gemm 131071x1x1 split");
         assert!(parallel(131072, 1, 1), "gemm 131072x1x1 not split");
-        // (c, taps, plane) -> row-strip?
-        for ((c, taps, plane), strip) in [((4095, 1, 1), false), ((4096, 1, 1), true)] {
-            assert_eq!(
-                crate::depthwise::row_strip(c, taps, plane),
-                strip,
-                "depthwise {c}x{taps}x{plane}"
-            );
-        }
     }
 
     #[test]

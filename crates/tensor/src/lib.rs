@@ -23,12 +23,12 @@
 //! handled at pack time so `matmul`, `matmul_nt`, and `matmul_tn` share one
 //! kernel. Every f32 GEMM, whatever its shape, runs that one blocked
 //! schedule; only whether its rows split across the pool depends on the
-//! shape. The depthwise choice between row-strip SIMD and the scalar
-//! reference is likewise a pure function of the shape
-//! ([`depthwise::row_strip`]). The convolution *forward* is an
-//! **implicit GEMM**: the packing loop reads the input image through a
-//! virtual im2col layout, so the `[c_in*kh*kw, ho*wo]` column matrix is
-//! never materialized — only the backward pass still lowers explicitly.
+//! shape. The depthwise stencils run their AVX2 row-strip kernels wherever
+//! the host has AVX2 and the geometry has one ([`depthwise`]). The
+//! convolution *forward* is an **implicit GEMM**: the packing loop reads
+//! the input image through a virtual im2col layout, so the
+//! `[c_in*kh*kw, ho*wo]` column matrix is never materialized — only the
+//! backward pass still lowers explicitly.
 //! Packing panels and the backward-path column matrices live in
 //! **thread-local scratch buffers** that grow to a high-water mark and are
 //! reused, so steady-state training steps perform no kernel-side heap
@@ -85,13 +85,9 @@ pub mod threadpool;
 
 pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_into, conv2d_packed_into, conv2d_pointwise_mat_into,
-    depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_fused_into,
-    depthwise_conv2d_into, im2col,
+    depthwise_conv2d, depthwise_conv2d_backward, depthwise_conv2d_fused_into, im2col,
 };
-pub use depthwise::{
-    dw_channel_rows, qdepthwise_conv2d_into, qdw_channel_rows, qdw_channel_rows_requant,
-    QDepthwiseW,
-};
+pub use depthwise::{dw_channel_rows, qdepthwise_conv2d_into, qdw_channel_rows, QDepthwiseW};
 pub use eltwise::Epilogue;
 pub use error::TensorError;
 pub use gemm::{gemm, gemm_b_packed, PackedA, PackedB};
@@ -102,7 +98,7 @@ pub use pool::{
 };
 pub use qgemm::{
     activation_scale, max_abs, qgemm_conv, qgemm_conv_mat, qgemm_conv_mat_requant, qgemm_linear,
-    quantize_activations, QIm2colRef, QPackedW, Q_ZERO,
+    quantize_activations, QIm2colRef, QOut, QPackedW, Q_ZERO,
 };
 pub use shape::{ConvGeometry, Shape};
 pub use tensor::Tensor;

@@ -18,7 +18,9 @@
 //! epilogue removes the zero point exactly via the precomputed row sums:
 //! `Σ (qx_true + 128)·qw = Σ qx_true·qw + 128·Σ qw`. Dequantization is then
 //! one f32 multiply per element, `y = acc · (sw·sx) + bias`, followed by the
-//! shared [`Epilogue`] slice kernels.
+//! activation and, when the output is u8 ([`QOut::U8`]), the requantize
+//! step. That epilogue has one scalar and one AVX2 implementation, shared
+//! by the GEMM and the int8 depthwise stencil ([`crate::depthwise`]).
 //!
 //! ## Determinism
 //!
@@ -34,6 +36,7 @@
 use crate::eltwise::Epilogue;
 use crate::gemm::parallel;
 use crate::shape::ConvGeometry;
+use crate::simd::have_avx2;
 use crate::threadpool::{self, SharedMut};
 use std::cell::Cell;
 
@@ -67,16 +70,17 @@ pub fn max_abs(x: &[f32]) -> f32 {
 /// activation format above.
 ///
 /// Rounding is **ties-to-even** — the hardware default the AVX2 path's
-/// `vcvtps2dq` uses — and the scalar fallback matches it with
+/// `vcvtps2dq` uses — and the scalar tail matches it with
 /// [`f32::round_ties_even`], so the quantized bytes are identical on every
-/// CPU. The clamp runs after the integer zero-point shift, exactly like the
-/// `packus` saturation chain in the vector path.
+/// CPU. Both saturate to the byte range in the float domain, before the
+/// conversion, so a value of any size beyond the range quantizes to 0 or
+/// 255.
 pub fn quantize_activations(x: &[f32], scale: f32, out: &mut [u8]) {
     assert_eq!(x.len(), out.len(), "quantize_activations length");
     let inv = 1.0 / scale;
     let mut done = 0;
     #[cfg(target_arch = "x86_64")]
-    if use_avx2_kernel() {
+    if have_avx2() {
         done = x.len() - x.len() % 32;
         if done > 0 {
             // Safety: AVX2 detected at runtime; `done` is a multiple of 32
@@ -85,8 +89,95 @@ pub fn quantize_activations(x: &[f32], scale: f32, out: &mut [u8]) {
         }
     }
     for (o, &v) in out[done..].iter_mut().zip(&x[done..]) {
-        *o = ((v * inv).round_ties_even() as i32 + Q_ZERO as i32).clamp(0, 255) as u8;
+        *o = requant(v, inv);
     }
+}
+
+/// The requantize step: `v · inv` saturated to `[-128, 127]` in the float
+/// domain, rounded ties-to-even and shifted by [`Q_ZERO`]. Saturating before
+/// the conversion keeps a huge value from overflowing the `i32`.
+#[inline]
+fn requant(v: f32, inv: f32) -> u8 {
+    ((v * inv).clamp(-128.0, 127.0).round_ties_even() as i32 + Q_ZERO as i32) as u8
+}
+
+/// An int8 kernel's output: f32 values, or u8 values at an output scale.
+/// Both take the dequantize → activation epilogue; u8 outputs then
+/// requantize, giving the bytes [`quantize_activations`] gives the f32
+/// values without the f32 round trip.
+pub enum QOut<'a> {
+    /// f32 values.
+    F32(&'a mut [f32]),
+    /// u8 values at the given output scale.
+    U8(&'a mut [u8], f32),
+}
+
+impl QOut<'_> {
+    /// Element count.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            QOut::F32(o) => o.len(),
+            QOut::U8(o, _) => o.len(),
+        }
+    }
+
+    /// The requantize factor `1 / out_scale` (f32 outputs never read it).
+    pub(crate) fn inv(&self) -> f32 {
+        match self {
+            QOut::F32(_) => 1.0,
+            QOut::U8(_, scale) => 1.0 / scale,
+        }
+    }
+
+    /// Writes `acc` through the epilogue `e` to elements
+    /// `[i, i + acc.len())`: the AVX2 implementation for a full [`QNR`]
+    /// group when `avx2` is set, the scalar one otherwise. Both give the
+    /// same bits.
+    ///
+    /// # Safety
+    ///
+    /// `avx2` may be true only on a host with AVX2 ([`have_avx2`]). Callers
+    /// detect it once per kernel call: a detection per group would cost
+    /// more than the epilogue.
+    #[inline]
+    pub(crate) unsafe fn put(&mut self, i: usize, acc: &[i32], e: &Dequant, avx2: bool) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2 && acc.len() == QNR {
+            qx86::put_avx2(self, i, acc, e.corr, e.scale, e.base, e.act, e.inv);
+            return;
+        }
+        let _ = avx2;
+        let y = |a: i32| e.act.apply_one((a - e.corr) as f32 * e.scale + e.base);
+        match self {
+            QOut::F32(o) => {
+                for (o, &a) in o[i..i + acc.len()].iter_mut().zip(acc) {
+                    *o = y(a);
+                }
+            }
+            QOut::U8(o, _) => {
+                for (o, &a) in o[i..i + acc.len()].iter_mut().zip(acc) {
+                    *o = requant(y(a), e.inv);
+                }
+            }
+        }
+    }
+}
+
+/// The int8 epilogue of one output row (or depthwise channel):
+/// `y = act((acc - corr) · scale + base)`, then, for a u8 output, the
+/// requantize step with `inv`.
+#[derive(Clone, Copy)]
+pub(crate) struct Dequant {
+    /// The zero-point correction `Q_ZERO · Σ qw`.
+    pub(crate) corr: i32,
+    /// The combined scale `weight_scale · x_scale`.
+    pub(crate) scale: f32,
+    /// The bias.
+    pub(crate) base: f32,
+    /// The activation.
+    pub(crate) act: Epilogue,
+    /// The output's [`QOut::inv`].
+    pub(crate) inv: f32,
 }
 
 /// A weight matrix quantized per row and prepacked for the i8 kernel.
@@ -424,23 +515,13 @@ fn qmicrokernel(kq: usize, wsliv: &[i8], bq: &[u8], acc: &mut [[i32; QNR]; QMR])
     }
 }
 
-/// True when the AVX2 i8 kernel can run. FMA is irrelevant here; AVX2 alone
-/// provides `vpmaddubsw`/`vpmaddwd`.
-#[inline]
-fn use_avx2_kernel() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod qx86 {
-    use super::{Epilogue, KQ, QMR, QNR};
+    use super::{Epilogue, QOut, KQ, QMR, QNR, Q_ZERO};
+    use crate::simd::x86::{
+        broadcast_i8x4, load_f32x8, load_i32x8, load_u8x32, store_f32x8, store_i32x8, store_u8x32,
+        store_u8x8,
+    };
     use core::arch::x86_64::*;
 
     /// AVX2 twin of [`super::qmicrokernel`]: per k-quad, one 32-byte strip
@@ -461,141 +542,113 @@ pub(crate) mod qx86 {
         bq: &[u8],
         acc: &mut [[i32; QNR]; QMR],
     ) {
-        debug_assert!(wsliv.len() >= kq * QMR * KQ && bq.len() >= kq * QNR * KQ);
         let ones = _mm256_set1_epi16(1);
         let mut a0 = _mm256_setzero_si256();
         let mut a1 = _mm256_setzero_si256();
         let mut a2 = _mm256_setzero_si256();
         let mut a3 = _mm256_setzero_si256();
-        let mut w_ptr = wsliv.as_ptr() as *const i32;
-        let mut b_ptr = bq.as_ptr();
-        for _ in 0..kq {
-            let b = _mm256_loadu_si256(b_ptr as *const __m256i);
-            let w0 = _mm256_set1_epi32(w_ptr.read_unaligned());
+        for q in 0..kq {
+            let b = load_u8x32(bq, q * QNR * KQ);
+            let w = q * QMR * KQ;
+            let w0 = broadcast_i8x4(wsliv, w);
             a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(_mm256_maddubs_epi16(b, w0), ones));
-            let w1 = _mm256_set1_epi32(w_ptr.add(1).read_unaligned());
+            let w1 = broadcast_i8x4(wsliv, w + KQ);
             a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(_mm256_maddubs_epi16(b, w1), ones));
-            let w2 = _mm256_set1_epi32(w_ptr.add(2).read_unaligned());
+            let w2 = broadcast_i8x4(wsliv, w + 2 * KQ);
             a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(_mm256_maddubs_epi16(b, w2), ones));
-            let w3 = _mm256_set1_epi32(w_ptr.add(3).read_unaligned());
+            let w3 = broadcast_i8x4(wsliv, w + 3 * KQ);
             a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(_mm256_maddubs_epi16(b, w3), ones));
-            w_ptr = w_ptr.add(QMR);
-            b_ptr = b_ptr.add(QNR * KQ);
         }
         for (row, sum) in acc.iter_mut().zip([a0, a1, a2, a3]) {
-            let prev = _mm256_loadu_si256(row.as_ptr() as *const __m256i);
-            _mm256_storeu_si256(
-                row.as_mut_ptr() as *mut __m256i,
-                _mm256_add_epi32(prev, sum),
-            );
+            let prev = load_i32x8(row, 0);
+            store_i32x8(row, 0, _mm256_add_epi32(prev, sum));
         }
     }
 
-    /// AVX2 dequant + epilogue for one full [`QNR`]-wide accumulator row:
-    /// `y = (acc - corr)·scale + base` then the activation, all as one
-    /// register pass. Every step mirrors the scalar write-out per element —
-    /// `vcvtdq2ps` is the same i32→f32 conversion, multiply and add stay
-    /// separate (no FMA contraction), and `vmaxps` agrees with `f32::max`
-    /// whenever neither operand is NaN (the decayed-ReLU operands share a
-    /// sign, so the ±0 ambiguity never produces different bits) — making the
-    /// SIMD and scalar paths bitwise identical on quantized inference data.
-    ///
-    /// # Safety
-    ///
-    /// Requires the `avx2` target feature at runtime and `out.len() == QNR`.
+    /// The epilogue's dequantize and activation on eight lanes:
+    /// `act((acc - corr) · scale + base)`. Every step mirrors the scalar
+    /// epilogue per element — `vcvtdq2ps` is the same i32→f32 conversion,
+    /// multiply and add stay separate (no FMA contraction), and `vmaxps`
+    /// agrees with `f32::max` whenever neither operand is NaN (the
+    /// decayed-ReLU operands share a sign, so the ±0 ambiguity never
+    /// produces different bits) — so both give the same bits.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dequant_act_avx2(
-        acc: &[i32; QNR],
-        corr: i32,
-        scale: f32,
-        base: f32,
-        act: Epilogue,
-        out: &mut [f32],
-    ) {
-        debug_assert_eq!(out.len(), QNR);
-        let a = _mm256_loadu_si256(acc.as_ptr() as *const __m256i);
-        let a = _mm256_sub_epi32(a, _mm256_set1_epi32(corr));
-        let mut v = _mm256_add_ps(
+    unsafe fn dequant_act(acc: __m256i, corr: i32, scale: f32, base: f32, act: Epilogue) -> __m256 {
+        let a = _mm256_sub_epi32(acc, _mm256_set1_epi32(corr));
+        let v = _mm256_add_ps(
             _mm256_mul_ps(_mm256_cvtepi32_ps(a), _mm256_set1_ps(scale)),
             _mm256_set1_ps(base),
         );
         match act {
-            Epilogue::None => {}
-            Epilogue::Relu { alpha } => {
-                v = _mm256_max_ps(_mm256_mul_ps(v, _mm256_set1_ps(alpha)), v);
-            }
+            Epilogue::None => v,
+            Epilogue::Relu { alpha } => _mm256_max_ps(_mm256_mul_ps(v, _mm256_set1_ps(alpha)), v),
             Epilogue::Relu6 { alpha } => {
                 let m = _mm256_max_ps(_mm256_mul_ps(v, _mm256_set1_ps(alpha)), v);
                 let over =
                     _mm256_max_ps(_mm256_sub_ps(v, _mm256_set1_ps(6.0)), _mm256_setzero_ps());
-                v = _mm256_sub_ps(m, _mm256_mul_ps(_mm256_set1_ps(1.0 - alpha), over));
+                _mm256_sub_ps(m, _mm256_mul_ps(_mm256_set1_ps(1.0 - alpha), over))
             }
         }
-        _mm256_storeu_ps(out.as_mut_ptr(), v);
     }
 
-    /// [`dequant_act_avx2`] followed by an in-register requantize with
-    /// `inv = 1/out_scale`: `vcvtps2dq` (ties-to-even, matching the scalar
-    /// `round_ties_even`), integer zero-point shift, explicit 0..255 clamp,
-    /// then the `packus` funnel down to 8 bytes — the same steps as
-    /// [`quantize_avx2`] applied to the dequantized row, so the bytes equal
-    /// a separate f32 write-out plus [`super::quantize_activations`].
+    /// The requantize step on eight lanes, as the scalar `requant` per lane:
+    /// `v · inv` saturated to `[-128, 127]` in the float domain, converted by
+    /// `vcvtps2dq` (ties-to-even, like `round_ties_even`) and shifted by
+    /// [`Q_ZERO`], so every lane holds a code in `0..=255`. Huge and
+    /// infinite values saturate exactly as on the scalar path. NaN is the
+    /// one input the paths treat differently: `vmaxps` returns its second
+    /// operand, so a NaN lane quantizes to 0 here and to [`Q_ZERO`] there;
+    /// quantized inference never feeds NaN.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn requant(v: __m256, inv: __m256) -> __m256i {
+        let x = _mm256_max_ps(_mm256_mul_ps(v, inv), _mm256_set1_ps(-128.0));
+        let x = _mm256_min_ps(x, _mm256_set1_ps(127.0));
+        _mm256_add_epi32(_mm256_cvtps_epi32(x), _mm256_set1_epi32(Q_ZERO as i32))
+    }
+
+    /// The AVX2 epilogue: writes the eight accumulators `acc[..8]`,
+    /// dequantized, activated and (for a u8 output) requantized with `inv`,
+    /// to `out[i..i + 8]`. The constants are [`Dequant`]'s fields, passed
+    /// in registers: the callers build them just before the call, and a
+    /// vector load of fields just stored one by one would stall.
     ///
     /// # Safety
     ///
-    /// Requires the `avx2` target feature at runtime and `out.len() == QNR`.
-    #[allow(clippy::too_many_arguments)]
+    /// Requires the `avx2` target feature at runtime, `acc.len() >= 8` and
+    /// `i + 8 <= out.len()`.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dequant_act_requant_avx2(
-        acc: &[i32; QNR],
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn put_avx2(
+        out: &mut QOut,
+        i: usize,
+        acc: &[i32],
         corr: i32,
         scale: f32,
         base: f32,
         act: Epilogue,
         inv: f32,
-        out: &mut [u8],
     ) {
-        debug_assert_eq!(out.len(), QNR);
-        let a = _mm256_loadu_si256(acc.as_ptr() as *const __m256i);
-        let a = _mm256_sub_epi32(a, _mm256_set1_epi32(corr));
-        let mut v = _mm256_add_ps(
-            _mm256_mul_ps(_mm256_cvtepi32_ps(a), _mm256_set1_ps(scale)),
-            _mm256_set1_ps(base),
-        );
-        match act {
-            Epilogue::None => {}
-            Epilogue::Relu { alpha } => {
-                v = _mm256_max_ps(_mm256_mul_ps(v, _mm256_set1_ps(alpha)), v);
-            }
-            Epilogue::Relu6 { alpha } => {
-                let m = _mm256_max_ps(_mm256_mul_ps(v, _mm256_set1_ps(alpha)), v);
-                let over =
-                    _mm256_max_ps(_mm256_sub_ps(v, _mm256_set1_ps(6.0)), _mm256_setzero_ps());
-                v = _mm256_sub_ps(m, _mm256_mul_ps(_mm256_set1_ps(1.0 - alpha), over));
+        let v = dequant_act(load_i32x8(acc, 0), corr, scale, base, act);
+        match out {
+            QOut::F32(o) => store_f32x8(o, i, v),
+            QOut::U8(o, _) => {
+                let q = requant(v, _mm256_set1_ps(inv));
+                // Narrow 8 x i32 -> 8 x u8: pack to u16 per 128-bit lane,
+                // pull both low quads into the lower half, pack to u8
+                // (saturation is a no-op on codes in 0..=255).
+                let p16 = _mm256_permute4x64_epi64(_mm256_packus_epi32(q, q), 0b1101_1000);
+                let p8 = _mm_packus_epi16(_mm256_castsi256_si128(p16), _mm_setzero_si128());
+                store_u8x8(o, i, p8);
             }
         }
-        let q = _mm256_cvtps_epi32(_mm256_mul_ps(v, _mm256_set1_ps(inv)));
-        let q = _mm256_add_epi32(q, _mm256_set1_epi32(super::Q_ZERO as i32));
-        let q = _mm256_min_epi32(
-            _mm256_max_epi32(q, _mm256_setzero_si256()),
-            _mm256_set1_epi32(255),
-        );
-        // Narrow 8 x i32 -> 8 x u8: pack to u16 per 128-bit lane, pull both
-        // low quads into the lower half, pack to u8 (saturation is a no-op
-        // after the clamp), store 8 bytes.
-        let p16 = _mm256_packus_epi32(q, q);
-        let p16 = _mm256_permute4x64_epi64(p16, 0b1101_1000);
-        let p8 = _mm_packus_epi16(_mm256_castsi256_si128(p16), _mm_setzero_si128());
-        _mm_storel_epi64(out.as_mut_ptr() as *mut __m128i, p8);
     }
 
-    /// AVX2 activation quantize over a 32-multiple prefix: `vcvtps2dq`
-    /// (ties-to-even, matching the scalar `round_ties_even` tail), integer
-    /// zero-point shift, explicit 0..255 clamp, then the
-    /// `packus_epi32`/`packus_epi16`/`permutevar8x32` funnel down to bytes.
-    /// Non-finite inputs are the one divergence from the scalar path
-    /// (`vcvtps2dq` yields `i32::MIN`, clamped to 0); quantized inference
-    /// never feeds those.
+    /// AVX2 activation quantize over a 32-multiple prefix: [`requant`] on
+    /// each group of eight, then the `packus_epi32`/`packus_epi16`/
+    /// `permutevar8x32` funnel down to bytes.
     ///
     /// # Safety
     ///
@@ -605,24 +658,13 @@ pub(crate) mod qx86 {
     pub unsafe fn quantize_avx2(x: &[f32], inv: f32, out: &mut [u8]) {
         debug_assert!(x.len() == out.len() && x.len().is_multiple_of(32));
         let vinv = _mm256_set1_ps(inv);
-        let zp = _mm256_set1_epi32(super::Q_ZERO as i32);
-        let lo = _mm256_setzero_si256();
-        let hi = _mm256_set1_epi32(255);
         let perm = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-        let mut xp = x.as_ptr();
-        let mut op = out.as_mut_ptr();
-        for _ in 0..x.len() / 32 {
-            let cvt = |p: *const f32| {
-                let q = _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(p), vinv));
-                _mm256_min_epi32(_mm256_max_epi32(_mm256_add_epi32(q, zp), lo), hi)
-            };
-            let (q0, q1, q2, q3) = (cvt(xp), cvt(xp.add(8)), cvt(xp.add(16)), cvt(xp.add(24)));
-            let w0 = _mm256_packus_epi32(q0, q1);
-            let w1 = _mm256_packus_epi32(q2, q3);
+        for i in (0..x.len()).step_by(32) {
+            let q = |j: usize| requant(load_f32x8(x, i + j), vinv);
+            let w0 = _mm256_packus_epi32(q(0), q(8));
+            let w1 = _mm256_packus_epi32(q(16), q(24));
             let bytes = _mm256_packus_epi16(w0, w1);
-            _mm256_storeu_si256(op as *mut __m256i, _mm256_permutevar8x32_epi32(bytes, perm));
-            xp = xp.add(32);
-            op = op.add(32);
+            store_u8x32(out, i, _mm256_permutevar8x32_epi32(bytes, perm));
         }
     }
 }
@@ -644,20 +686,38 @@ fn with_u8_scratch<R>(len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
     })
 }
 
-/// Where [`qgemm_strips`] writes each finished accumulator row segment.
-/// Tasks own disjoint column strips, so their segments never overlap.
+/// A [`QOut`] shared by the column-strip tasks of one GEMM: each task
+/// writes only the row segments of its own strips, so no two windows
+/// overlap.
 enum StripSink {
-    /// Dequantize + bias + activation into f32 output rows.
     F32(SharedMut<f32>),
-    /// Dequantize + bias + activation, then requantize with `1/out_scale`
-    /// into u8 rows — byte-for-byte what [`quantize_activations`] over the
-    /// f32 sink's output would produce, with the f32 round-trip elided.
-    Requant(SharedMut<u8>, f32),
+    U8(SharedMut<u8>, f32),
+}
+
+impl StripSink {
+    fn new(out: QOut) -> Self {
+        match out {
+            QOut::F32(o) => StripSink::F32(SharedMut::new(o)),
+            QOut::U8(o, scale) => StripSink::U8(SharedMut::new(o), scale),
+        }
+    }
+
+    /// The output window `[start, start + len)`.
+    ///
+    /// # Safety
+    ///
+    /// No other live window may overlap it.
+    unsafe fn window(&self, start: usize, len: usize) -> QOut<'_> {
+        match self {
+            StripSink::F32(o) => QOut::F32(o.slice(start, len)),
+            StripSink::U8(o, scale) => QOut::U8(o.slice(start, len), *scale),
+        }
+    }
 }
 
 /// Computes one strip range `[s0, s1)` of the output: pack each strip, run
-/// the tile kernel down the row slivers, dequantize + bias + activate into
-/// the row segments of the sink.
+/// the tile kernel down the row slivers, and write each row segment through
+/// the epilogue into the sink.
 #[allow(clippy::too_many_arguments)]
 fn qgemm_strips(
     wq: &QPackedW,
@@ -668,6 +728,7 @@ fn qgemm_strips(
     x_scale: f32,
     bias: Option<&[f32]>,
     act: Epilogue,
+    inv: f32,
     simd: bool,
     sink: &StripSink,
 ) {
@@ -698,53 +759,19 @@ fn qgemm_strips(
                 }
                 for (r, acc_row) in acc.iter().enumerate().take(height) {
                     let row = i_base + r;
-                    let scale = wq.scales[row] * x_scale;
-                    let corr = Q_ZERO as i32 * wq.rowsums[row];
-                    let base = bias.map_or(0.0, |b| b[row]);
-                    match sink {
-                        StripSink::F32(out) => {
-                            // Safety: this task owns column strip `s`, so no
-                            // other live window covers this row segment.
-                            let seg = unsafe { out.slice(row * n + j0, width) };
-                            #[cfg(target_arch = "x86_64")]
-                            if simd && width == QNR {
-                                // Safety: AVX2 detected (simd), and the
-                                // segment is one full QNR-wide register row.
-                                unsafe {
-                                    qx86::dequant_act_avx2(acc_row, corr, scale, base, act, seg)
-                                };
-                                continue;
-                            }
-                            for (cv, &a) in seg.iter_mut().zip(acc_row) {
-                                *cv = (a - corr) as f32 * scale + base;
-                            }
-                            act.apply(seg);
-                        }
-                        StripSink::Requant(out, out_scale) => {
-                            let inv = 1.0 / out_scale;
-                            // Safety: as for the f32 sink.
-                            let seg = unsafe { out.slice(row * n + j0, width) };
-                            #[cfg(target_arch = "x86_64")]
-                            if simd && width == QNR {
-                                // Safety: AVX2 detected (simd), and the
-                                // segment is one full QNR-wide row.
-                                unsafe {
-                                    qx86::dequant_act_requant_avx2(
-                                        acc_row, corr, scale, base, act, inv, seg,
-                                    )
-                                };
-                                continue;
-                            }
-                            let mut tmp = [0.0f32; QNR];
-                            for (t, &a) in tmp.iter_mut().zip(acc_row).take(width) {
-                                *t = (a - corr) as f32 * scale + base;
-                            }
-                            act.apply(&mut tmp[..width]);
-                            for (o, &v) in seg.iter_mut().zip(&tmp) {
-                                *o = ((v * inv).round_ties_even() as i32 + Q_ZERO as i32)
-                                    .clamp(0, 255) as u8;
-                            }
-                        }
+                    let e = Dequant {
+                        corr: Q_ZERO as i32 * wq.rowsums[row],
+                        scale: wq.scales[row] * x_scale,
+                        base: bias.map_or(0.0, |b| b[row]),
+                        act,
+                        inv,
+                    };
+                    // Safety: this task owns column strip `s`, so no other
+                    // live window covers this row segment; `simd` is only
+                    // true when AVX2 was detected at runtime.
+                    unsafe {
+                        let mut seg = sink.window(row * n + j0, width);
+                        seg.put(0, &acc_row[..width], &e, simd);
                     }
                 }
             }
@@ -753,16 +780,16 @@ fn qgemm_strips(
 }
 
 /// The one driver behind every int8 GEMM entry point:
-/// `C = act(dequant(QW · B) + bias)` into `sink`, whose buffer holds
-/// `wq.m() x n` elements. `simd` runs the AVX2 tile kernel (the entry
-/// points pass it whenever AVX2 is present) or the scalar reference; shapes
-/// the f32 GEMM would row-split are column-split across the pool here.
-/// Exact integer accumulation makes every choice bit-identical.
+/// `C = act(dequant(QW · B) + bias)` into `out`, which holds `wq.m() x n`
+/// elements. `simd` runs the AVX2 tile kernel (the entry points pass it
+/// whenever AVX2 is present) or the scalar reference; shapes the f32 GEMM
+/// would row-split are column-split across the pool here. Exact integer
+/// accumulation makes every choice bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn run_qgemm(
     wq: &QPackedW,
     bop: &QBOperand,
-    sink: StripSink,
+    out: QOut,
     n: usize,
     x_scale: f32,
     bias: Option<&[f32]>,
@@ -770,12 +797,15 @@ fn run_qgemm(
     simd: bool,
 ) {
     let m = wq.m;
+    assert_eq!(out.len(), m * n, "qgemm out buffer length");
     if let Some(b) = bias {
         assert_eq!(b.len(), m, "qgemm bias length");
     }
     if m == 0 || n == 0 {
         return;
     }
+    let inv = out.inv();
+    let sink = StripSink::new(out);
     let strips = n.div_ceil(QNR);
     let threads = threadpool::num_threads();
     if parallel(m, wq.k, n) && threads > 1 && strips > 1 {
@@ -783,10 +813,10 @@ fn run_qgemm(
         threadpool::parallel_for(chunks, &|ci| {
             let s0 = strips * ci / chunks;
             let s1 = strips * (ci + 1) / chunks;
-            qgemm_strips(wq, bop, n, s0, s1, x_scale, bias, act, simd, &sink);
+            qgemm_strips(wq, bop, n, s0, s1, x_scale, bias, act, inv, simd, &sink);
         });
     } else {
-        qgemm_strips(wq, bop, n, 0, strips, x_scale, bias, act, simd, &sink);
+        qgemm_strips(wq, bop, n, 0, strips, x_scale, bias, act, inv, simd, &sink);
     }
 }
 
@@ -801,11 +831,9 @@ pub fn qgemm_conv(
     act: Epilogue,
 ) {
     assert_eq!(qim.rows(), wq.k, "qgemm_conv operand inner dimension");
-    let n = qim.cols();
-    assert_eq!(c.len(), wq.m * n, "qgemm out buffer length");
     let bop = QBOperand::Im2col(qim);
-    let sink = StripSink::F32(SharedMut::new(c));
-    run_qgemm(wq, &bop, sink, n, x_scale, bias, act, use_avx2_kernel());
+    let out = QOut::F32(c);
+    run_qgemm(wq, &bop, out, qim.cols(), x_scale, bias, act, have_avx2());
 }
 
 /// Quantized pointwise-conv fast path: a 1x1 stride-1 unpadded conv's column
@@ -820,22 +848,14 @@ pub fn qgemm_conv_mat(
     bias: Option<&[f32]>,
     act: Epilogue,
 ) {
-    assert_eq!(qx.len(), wq.k * n, "qgemm_conv_mat operand length");
-    assert_eq!(c.len(), wq.m * n, "qgemm out buffer length");
-    let bop = QBOperand::Mat {
-        b: qx,
-        trans: false,
-    };
-    let sink = StripSink::F32(SharedMut::new(c));
-    run_qgemm(wq, &bop, sink, n, x_scale, bias, act, use_avx2_kernel());
+    qgemm_mat(wq, qx, QOut::F32(c), n, x_scale, bias, act);
 }
 
 /// [`qgemm_conv_mat`] that emits its output already quantized with
 /// `out_scale` — for chains where the very next consumer is another int8
 /// kernel (the fused inverted-residual executor's expand stage). The bytes
 /// equal `qgemm_conv_mat` followed by [`quantize_activations`], with the
-/// f32 intermediate and its extra memory pass elided; both run the same
-/// driver and tile kernel.
+/// f32 intermediate and its extra memory pass elided.
 #[allow(clippy::too_many_arguments)]
 pub fn qgemm_conv_mat_requant(
     wq: &QPackedW,
@@ -847,14 +867,25 @@ pub fn qgemm_conv_mat_requant(
     act: Epilogue,
     out_scale: f32,
 ) {
-    assert_eq!(qx.len(), wq.k * n, "qgemm_conv_mat_requant operand length");
-    assert_eq!(c.len(), wq.m * n, "qgemm requant out buffer length");
+    qgemm_mat(wq, qx, QOut::U8(c, out_scale), n, x_scale, bias, act);
+}
+
+/// The materialized-matrix GEMM behind both pointwise entries.
+fn qgemm_mat(
+    wq: &QPackedW,
+    qx: &[u8],
+    out: QOut,
+    n: usize,
+    x_scale: f32,
+    bias: Option<&[f32]>,
+    act: Epilogue,
+) {
+    assert_eq!(qx.len(), wq.k * n, "qgemm_conv_mat operand length");
     let bop = QBOperand::Mat {
         b: qx,
         trans: false,
     };
-    let sink = StripSink::Requant(SharedMut::new(c), out_scale);
-    run_qgemm(wq, &bop, sink, n, x_scale, bias, act, use_avx2_kernel());
+    run_qgemm(wq, &bop, out, n, x_scale, bias, act, have_avx2());
 }
 
 thread_local! {
@@ -888,8 +919,8 @@ pub fn qgemm_linear(
             ct.resize(out_f * rows, 0.0);
         }
         let bop = QBOperand::Mat { b: qx, trans: true };
-        let sink = StripSink::F32(SharedMut::new(&mut ct[..out_f * rows]));
-        run_qgemm(wq, &bop, sink, rows, x_scale, bias, act, use_avx2_kernel());
+        let out_t = QOut::F32(&mut ct[..out_f * rows]);
+        run_qgemm(wq, &bop, out_t, rows, x_scale, bias, act, have_avx2());
         for b in 0..rows {
             for o in 0..out_f {
                 out[b * out_f + o] = ct[o * rows + b];
@@ -953,20 +984,29 @@ mod tests {
             quantize_activations(&x, x_scale, &mut qx);
             let wq = QPackedW::pack(&w, m, k);
             let bias = fill(m, 13);
-            let run = |simd: bool| {
-                let mut c = vec![0.0f32; m * n];
-                let bop = QBOperand::Mat {
-                    b: &qx,
-                    trans: false,
-                };
-                let sink = StripSink::F32(SharedMut::new(&mut c));
-                let act = Epilogue::Relu { alpha: 0.25 };
-                run_qgemm(&wq, &bop, sink, n, x_scale, Some(&bias), act, simd);
-                c
+            let bop = QBOperand::Mat {
+                b: &qx,
+                trans: false,
             };
-            let scalar = run(false);
-            let simd = run(use_avx2_kernel());
+            let act = Epilogue::Relu { alpha: 0.25 };
+            let run = |out: QOut, simd: bool| {
+                run_qgemm(&wq, &bop, out, n, x_scale, Some(&bias), act, simd);
+            };
+            let mut scalar = vec![0.0f32; m * n];
+            run(QOut::F32(&mut scalar), false);
+            let mut simd = vec![0.0f32; m * n];
+            run(QOut::F32(&mut simd), have_avx2());
             assert_eq!(scalar, simd, "scalar vs simd bits at {m}x{k}x{n}");
+            // The u8 output requantizes in the epilogue, on either kernel:
+            // the bytes of the f32 output quantized in a separate pass.
+            let out_scale = 0.011;
+            let mut want = vec![0u8; m * n];
+            quantize_activations(&scalar, out_scale, &mut want);
+            for s in [false, have_avx2()] {
+                let mut got = vec![0u8; m * n];
+                run(QOut::U8(&mut got, out_scale), s);
+                assert_eq!(got, want, "u8 output (simd {s}) at {m}x{k}x{n}");
+            }
         }
     }
 
@@ -1130,6 +1170,63 @@ mod tests {
         let zq = QPackedW::pack(&[0.0; 8], 2, 4);
         assert_eq!(zq.scales(), &[1.0, 1.0]);
         assert_eq!(zq.rowsums, &[0, 0]);
+    }
+
+    #[test]
+    fn huge_values_requantize_to_the_end_codes() {
+        // ±1e12 · scale lies far outside the i32 range that the conversion
+        // to a code goes through: it must saturate to 255 and 0, on the
+        // 32-wide AVX2 body and the scalar tail of `quantize_activations`
+        // alike, and in the u8 outputs of the GEMM and the stencil.
+        let scale = 0.02;
+        let huge = |i: usize| {
+            if i.is_multiple_of(3) {
+                -1e12 * scale
+            } else {
+                1e12 * scale
+            }
+        };
+        let code = |i: usize| if i.is_multiple_of(3) { 0u8 } else { 255 };
+        let x: Vec<f32> = (0..40).map(huge).collect();
+        let mut q = vec![Q_ZERO; 40];
+        quantize_activations(&x, scale, &mut q);
+        assert_eq!(q, (0..40).map(code).collect::<Vec<_>>(), "quantize");
+        // GEMM: the bias sets each row's value; 12 columns are one full
+        // strip (vector epilogue) and one of four (scalar epilogue).
+        let (m, k, n) = (3, 4, 12);
+        let wq = QPackedW::pack(&fill(m * k, 3), m, k);
+        let bias: Vec<f32> = (0..m).map(huge).collect();
+        let mut c = vec![Q_ZERO; m * n];
+        let qx = vec![Q_ZERO; k * n];
+        let act = Epilogue::Relu { alpha: 0.5 };
+        qgemm_conv_mat_requant(&wq, &qx, &mut c, n, 1.0, Some(&bias), act, scale);
+        for (i, row) in c.chunks(n).enumerate() {
+            assert!(row.iter().all(|&b| b == code(i)), "gemm row {i}: {row:?}");
+        }
+        // Stencil: a 3x3 plane 20 wide runs vector groups and border columns.
+        let geom = ConvGeometry::same(3, 1);
+        let (h, w) = (4, 20);
+        let qk = [1i8; 9];
+        for i in 0..2 {
+            let mut out = vec![Q_ZERO; h * w];
+            crate::depthwise::qdw_channel_rows(
+                &vec![Q_ZERO; h * w],
+                0,
+                h,
+                w,
+                &qk,
+                9,
+                1.0,
+                huge(i),
+                act,
+                geom,
+                w,
+                0,
+                h,
+                QOut::U8(&mut out, scale),
+            );
+            assert!(out.iter().all(|&b| b == code(i)), "stencil {i}: {out:?}");
+        }
     }
 
     #[test]

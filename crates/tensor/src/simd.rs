@@ -1,7 +1,8 @@
 //! Checked AVX2 access and the channel-lane walk.
 //!
-//! The AVX2 kernels of the depthwise forward, batch norm and the 1x1
-//! depthwise backward load and store through the helpers here. Each helper
+//! The AVX2 kernels of the depthwise forward, the int8 GEMM, its epilogue
+//! and activation quantize, batch norm and the 1x1 depthwise backward load
+//! and store through the helpers here. Each helper
 //! `debug_assert!`s that its whole footprint lies inside the slice it
 //! touches, so a debug build (the one `cargo test` runs) turns every bitwise
 //! property grid over those kernels into a bounds check as well. In a
@@ -100,6 +101,31 @@ pub(crate) mod x86 {
         _mm256_storeu_si256(s.as_mut_ptr().add(i) as *mut __m256i, v)
     }
 
+    /// Loads `s[i..i + 8]`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present and `i + 8 <= s.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn load_i32x8(s: &[i32], i: usize) -> __m256i {
+        debug_assert!(i + 8 <= s.len(), "i32x8 load at {i} of {}", s.len());
+        _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i)
+    }
+
+    /// Broadcasts the four bytes `s[i..i + 4]`, read as one `i32`, to every
+    /// lane.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present and `i + 4 <= s.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn broadcast_i8x4(s: &[i8], i: usize) -> __m256i {
+        debug_assert!(i + 4 <= s.len(), "i8x4 broadcast at {i} of {}", s.len());
+        _mm256_set1_epi32((s.as_ptr().add(i) as *const i32).read_unaligned())
+    }
+
     /// Loads `s[i..i + 8]` into the low half of a register.
     ///
     /// # Safety
@@ -110,6 +136,42 @@ pub(crate) mod x86 {
     pub(crate) unsafe fn load_u8x8(s: &[u8], i: usize) -> __m128i {
         debug_assert!(i + 8 <= s.len(), "u8x8 load at {i} of {}", s.len());
         _mm_loadl_epi64(s.as_ptr().add(i) as *const __m128i)
+    }
+
+    /// Stores the low eight bytes of `v` to `s[i..i + 8]`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present and `i + 8 <= s.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn store_u8x8(s: &mut [u8], i: usize, v: __m128i) {
+        debug_assert!(i + 8 <= s.len(), "u8x8 store at {i} of {}", s.len());
+        _mm_storel_epi64(s.as_mut_ptr().add(i) as *mut __m128i, v)
+    }
+
+    /// Loads `s[i..i + 32]`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present and `i + 32 <= s.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn load_u8x32(s: &[u8], i: usize) -> __m256i {
+        debug_assert!(i + 32 <= s.len(), "u8x32 load at {i} of {}", s.len());
+        _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i)
+    }
+
+    /// Stores `v` to `s[i..i + 32]`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present and `i + 32 <= s.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn store_u8x32(s: &mut [u8], i: usize, v: __m256i) {
+        debug_assert!(i + 32 <= s.len(), "u8x32 store at {i} of {}", s.len());
+        _mm256_storeu_si256(s.as_mut_ptr().add(i) as *mut __m256i, v)
     }
 
     /// Loads `s[i..i + 16]`.
@@ -260,6 +322,64 @@ pub(crate) mod x86 {
             unsafe {
                 load_f32x8(&s, 3);
             }
+        }
+
+        /// Runs `f` on an AVX2 host; elsewhere panics with `msg`, as the
+        /// debug assertion `f` trips would.
+        #[cfg(debug_assertions)]
+        fn on_avx2(msg: &str, f: impl FnOnce()) {
+            if !super::super::have_avx2() {
+                panic!("{msg} (no AVX2 on this host)");
+            }
+            f()
+        }
+
+        // Safety, in each test below: `on_avx2` runs the closure only on an
+        // AVX2 host, and the debug assertion fires before the access.
+
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(expected = "i32x8 load at 1 of 8")]
+        fn i32x8_load_past_the_end_is_caught_in_debug_builds() {
+            on_avx2("i32x8 load at 1 of 8", || unsafe {
+                load_i32x8(&[0; 8], 1);
+            });
+        }
+
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(expected = "i8x4 broadcast at 5 of 8")]
+        fn i8x4_broadcast_past_the_end_is_caught_in_debug_builds() {
+            on_avx2("i8x4 broadcast at 5 of 8", || unsafe {
+                broadcast_i8x4(&[0; 8], 5);
+            });
+        }
+
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(expected = "u8x8 store at 3 of 10")]
+        fn u8x8_store_past_the_end_is_caught_in_debug_builds() {
+            on_avx2("u8x8 store at 3 of 10", || unsafe {
+                store_u8x8(&mut [0; 10], 3, _mm_setzero_si128());
+            });
+        }
+
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(expected = "u8x32 load at 1 of 32")]
+        fn u8x32_load_past_the_end_is_caught_in_debug_builds() {
+            on_avx2("u8x32 load at 1 of 32", || unsafe {
+                load_u8x32(&[0; 32], 1);
+            });
+        }
+
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(expected = "u8x32 store at 8 of 39")]
+        fn u8x32_store_past_the_end_is_caught_in_debug_builds() {
+            on_avx2("u8x32 store at 8 of 39", || unsafe {
+                store_u8x32(&mut [0; 39], 8, _mm256_setzero_si256());
+            });
         }
     }
 }
