@@ -427,11 +427,13 @@ pub fn depthwise_conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, geom: ConvGe
 /// into a caller-provided flat output buffer of length `n * c * ho * wo`;
 /// every element is overwritten.
 ///
-/// One task per sample runs each channel through
-/// [`crate::depthwise::dw_channel_rows`] and then the (possibly identity)
+/// One task per sample runs the stencil and then the (possibly identity)
 /// epilogue over the finished sample, so the bits match the plain
 /// convolution followed by a separate elementwise pass, at every thread
-/// width.
+/// width. On an AVX2 host the stencil runs in channel lanes, eight channels
+/// per register, for every geometry but the 1x1 one; elsewhere, and for
+/// 1x1, each channel runs [`crate::depthwise::dw_channel_rows`]. Both give
+/// the same bits.
 ///
 /// # Panics
 ///
@@ -461,11 +463,22 @@ pub fn depthwise_conv2d_fused_into(
     let bias = b.map(Tensor::as_slice);
     let in_sz = c * h * wd;
     let out_sz = c * ho * wo;
+    #[cfg(target_arch = "x86_64")]
+    let lanes = have_avx2() && geom != ConvGeometry::pointwise();
     let shared_out = SharedMut::new(out);
     threadpool::parallel_for(n, &|ni| {
         // Safety: each task writes only its own sample's output window.
         let o_sample = unsafe { shared_out.slice(ni * out_sz, out_sz) };
         let x_s = &xs[ni * in_sz..(ni + 1) * in_sz];
+        #[cfg(target_arch = "x86_64")]
+        if lanes {
+            // Safety: `lanes` implies AVX2; the slices are the sample's.
+            unsafe {
+                crate::depthwise::dw_sample_lanes(x_s, c, h, wd, ws, bias, geom, ho, wo, o_sample)
+            };
+            act.apply(o_sample);
+            return;
+        }
         for ci in 0..c {
             let plane = &x_s[ci * h * wd..(ci + 1) * h * wd];
             let ker = &ws[ci * geom.kh * geom.kw..(ci + 1) * geom.kh * geom.kw];
@@ -504,10 +517,10 @@ pub fn conv2d_pointwise_mat_into(
 }
 
 /// Serial depthwise backward for one channel across every sample: the
-/// register kernels for the geometries models train ([`dw_sums_1x1`] and
-/// [`dw_dx_1x1`], [`dw_backward_channel_3x3`]), the general per-pixel loop
-/// ([`dw_backward_channel_generic`]) for the rest. All three produce the
-/// same bits, and write the channel's `dx` planes only when `DX`. `dims` is
+/// register kernels of the 1x1 kernel NetBooster's expansion inserts
+/// ([`dw_sums_1x1`] and [`dw_dx_1x1`]), the general per-pixel loop
+/// ([`dw_backward_channel_generic`]) for the rest. Both produce the same
+/// bits, and write the channel's `dx` planes only when `DX`. `dims` is
 /// `(c, h, w, ho, wo)` and `kj_ranges[oj]` holds the in-bounds kernel-column
 /// range for output column `oj`. Returns the channel's bias gradient.
 #[allow(clippy::too_many_arguments)]
@@ -522,30 +535,25 @@ fn dw_backward_channel<const DX: bool>(
     geom: ConvGeometry,
     kj_ranges: &[(usize, usize)],
 ) -> f32 {
-    match (geom.kh, geom.kw) {
-        _ if geom == ConvGeometry::pointwise() => {
-            let (c, h, wd, _, _) = dims;
-            let (dk, db) = dw_sums_1x1(ci, xs, dys, c, h * wd);
-            dker[0] = dk;
-            if DX {
-                dw_dx_1x1(ci, dys, shared_dx, ker[0], c, h * wd);
-            }
-            db
-        }
-        (3, 3) => {
-            dw_backward_channel_3x3::<DX>(ci, xs, dys, shared_dx, ker, dker, dims, geom, kj_ranges)
-        }
-        _ => dw_backward_channel_generic::<DX>(
+    if geom != ConvGeometry::pointwise() {
+        return dw_backward_channel_generic::<DX>(
             ci, xs, dys, shared_dx, ker, dker, dims, geom, kj_ranges,
-        ),
+        );
     }
+    let (c, h, wd, _, _) = dims;
+    let (dk, db) = dw_sums_1x1(ci, xs, dys, c, h * wd);
+    dker[0] = dk;
+    if DX {
+        dw_dx_1x1(ci, dys, shared_dx, ker[0], c, h * wd);
+    }
+    db
 }
 
 /// The general depthwise backward for one channel: every output pixel
 /// visits its in-bounds taps in `(ki, kj)` order, samples and pixels in
 /// row-major order, skipping zero upstream gradients. This order is the
-/// bit contract the register kernels reproduce, and the reference their
-/// tests compare against. Kept as a plain function (outside the worker
+/// bit contract the 1x1 register kernels and the 3x3 channel lanes
+/// reproduce, and the reference their tests compare against. Kept as a plain function (outside the worker
 /// closure) so the hot loops compile against ordinary slice parameters.
 #[allow(clippy::too_many_arguments)]
 fn dw_backward_channel_generic<const DX: bool>(
@@ -659,136 +667,6 @@ fn dw_dx_1x1(ci: usize, dys: &[f32], shared_dx: &SharedMut<f32>, k: f32, c: usiz
     }
 }
 
-/// [`dw_backward_channel_generic`] specialized for 3x3 kernels at any
-/// stride. The nine taps are fully unrolled with the weights and the weight
-/// gradient held in scalar locals, so `dw` accumulation stays in registers
-/// instead of read-modify-writing `dker` through memory nine times per
-/// output pixel — the dominant cost of the general loop on one thread.
-/// Boundary pixels run the same unrolled taps behind per-tap range guards.
-///
-/// Accumulation order per output element is identical to the general path
-/// (taps visited in `(ki, kj)` order for each `(ni, oi, oj)`, zero upstream
-/// gradients skipped), and the scalar accumulators start from the same zero
-/// `dker` would, so the results are bitwise the same.
-#[allow(clippy::too_many_arguments)]
-fn dw_backward_channel_3x3<const DX: bool>(
-    ci: usize,
-    xs: &[f32],
-    dys: &[f32],
-    shared_dx: &SharedMut<f32>,
-    ker: &[f32],
-    dker: &mut [f32],
-    dims: (usize, usize, usize, usize, usize),
-    geom: ConvGeometry,
-    kj_ranges: &[(usize, usize)],
-) -> f32 {
-    let (c, h, wd, ho, wo) = dims;
-    let (sh, sw, ph, pw) = (geom.sh, geom.sw, geom.ph, geom.pw);
-    let n = xs.len() / (c * h * wd);
-    let &[k0, k1, k2, k3, k4, k5, k6, k7, k8] = ker else {
-        unreachable!("3x3 kernel slice")
-    };
-    let (mut d0, mut d1, mut d2, mut d3, mut d4) = (0.0f32, 0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let (mut d5, mut d6, mut d7, mut d8) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let mut db_acc = 0.0f32;
-    // Output columns whose full 3-tap window is interior:
-    // oj*sw >= pw and oj*sw - pw + 2 < wd.
-    let int_lo = crate::depthwise::interior_lo(pw, sw, wo);
-    let int_hi = crate::depthwise::interior_hi(wd, pw, 3, sw, wo, int_lo);
-    for ni in 0..n {
-        let plane = &xs[(ni * c + ci) * h * wd..(ni * c + ci + 1) * h * wd];
-        let dy_plane = &dys[(ni * c + ci) * ho * wo..(ni * c + ci + 1) * ho * wo];
-        // Safety: plane (ni, ci) is written only by channel ci's task.
-        let dplane = unsafe { dx_plane::<DX>(shared_dx, (ni * c + ci) * h * wd, h * wd) };
-        for oi in 0..ho {
-            let ki_lo = ph.saturating_sub(oi * sh);
-            let ki_hi = (h + ph).saturating_sub(oi * sh).min(3);
-            let dy_row = &dy_plane[oi * wo..(oi + 1) * wo];
-            // All nine taps, each behind its in-bounds guard; used for every
-            // pixel outside the fully interior fast path below.
-            macro_rules! guarded_taps {
-                ($oj:expr) => {{
-                    let oj = $oj;
-                    let g = dy_row[oj];
-                    if g != 0.0 {
-                        db_acc += g;
-                        let (kj_lo, kj_hi) = kj_ranges[oj];
-                        macro_rules! tap {
-                            ($ki:expr, $kj:expr, $dk:ident, $kw:ident) => {
-                                if ki_lo <= $ki && $ki < ki_hi && kj_lo <= $kj && $kj < kj_hi {
-                                    let idx = (oi * sh + $ki - ph) * wd + (oj * sw + $kj - pw);
-                                    $dk += g * plane[idx];
-                                    if DX {
-                                        dplane[idx] += g * $kw;
-                                    }
-                                }
-                            };
-                        }
-                        tap!(0, 0, d0, k0);
-                        tap!(0, 1, d1, k1);
-                        tap!(0, 2, d2, k2);
-                        tap!(1, 0, d3, k3);
-                        tap!(1, 1, d4, k4);
-                        tap!(1, 2, d5, k5);
-                        tap!(2, 0, d6, k6);
-                        tap!(2, 1, d7, k7);
-                        tap!(2, 2, d8, k8);
-                    }
-                }};
-            }
-            if ki_lo == 0 && ki_hi == 3 {
-                let i0 = oi * sh - ph;
-                for oj in 0..int_lo {
-                    guarded_taps!(oj);
-                }
-                for (oj, &g) in dy_row.iter().enumerate().take(int_hi).skip(int_lo) {
-                    if g == 0.0 {
-                        continue;
-                    }
-                    db_acc += g;
-                    let j0 = oj * sw - pw;
-                    let x0 = &plane[i0 * wd + j0..i0 * wd + j0 + 3];
-                    let x1 = &plane[(i0 + 1) * wd + j0..(i0 + 1) * wd + j0 + 3];
-                    let x2 = &plane[(i0 + 2) * wd + j0..(i0 + 2) * wd + j0 + 3];
-                    d0 += g * x0[0];
-                    d1 += g * x0[1];
-                    d2 += g * x0[2];
-                    d3 += g * x1[0];
-                    d4 += g * x1[1];
-                    d5 += g * x1[2];
-                    d6 += g * x2[0];
-                    d7 += g * x2[1];
-                    d8 += g * x2[2];
-                    if !DX {
-                        continue;
-                    }
-                    let r0 = &mut dplane[i0 * wd + j0..i0 * wd + j0 + 3];
-                    r0[0] += g * k0;
-                    r0[1] += g * k1;
-                    r0[2] += g * k2;
-                    let r1 = &mut dplane[(i0 + 1) * wd + j0..(i0 + 1) * wd + j0 + 3];
-                    r1[0] += g * k3;
-                    r1[1] += g * k4;
-                    r1[2] += g * k5;
-                    let r2 = &mut dplane[(i0 + 2) * wd + j0..(i0 + 2) * wd + j0 + 3];
-                    r2[0] += g * k6;
-                    r2[1] += g * k7;
-                    r2[2] += g * k8;
-                }
-                for oj in int_hi..wo {
-                    guarded_taps!(oj);
-                }
-            } else {
-                for oj in 0..wo {
-                    guarded_taps!(oj);
-                }
-            }
-        }
-    }
-    dker.copy_from_slice(&[d0, d1, d2, d3, d4, d5, d6, d7, d8]);
-    db_acc
-}
-
 /// In-bounds kernel-column range per output column, shared by every
 /// channel: `kj` must satisfy `0 <= oj*sw + kj - pw < w`.
 fn dw_kj_ranges(geom: ConvGeometry, w: usize, wo: usize) -> Vec<(usize, usize)> {
@@ -806,13 +684,14 @@ fn dw_kj_ranges(geom: ConvGeometry, w: usize, wo: usize) -> Vec<(usize, usize)> 
 /// `has_bias`.
 ///
 /// Parallelizes over *channels*: depthwise gradients never mix channels, so
-/// each task owns one channel's `dx` planes (across all samples) and its
-/// `dw`/`db` rows outright — no mutex, no partial buffers, no reduction
-/// pass. A channel's accumulation runs serially over samples in a fixed
-/// order, which also makes `dw`/`db` thread-count-invariant (the sample-
-/// chunked dense path is only width-stable). On an AVX2 host the 1x1
-/// kernel's tasks take eight channels each and run their `dw`/`db` chains
-/// as channel lanes, one lane per channel, with the same bits.
+/// each task owns its channels' `dw`/`db` rows outright — no mutex, no
+/// partial buffers, no reduction pass. A channel's accumulation runs
+/// serially over samples in a fixed order, which also makes `dw`/`db`
+/// thread-count-invariant (the sample-chunked dense path is only
+/// width-stable). On an AVX2 host the 1x1 and 3x3 kernels' tasks take
+/// eight channels each and run their `dw`/`db` chains as channel lanes,
+/// one lane per channel, with the same bits; the 3x3 kernel's `dx` then
+/// runs one task per sample and lane group.
 ///
 /// # Panics
 ///
@@ -836,9 +715,9 @@ pub fn depthwise_conv2d_backward(
 }
 
 /// The body of [`depthwise_conv2d_backward`]: writes `dx` through
-/// `shared_dx` when `DX` and returns `(dw, db)`. `simd` allows the 1x1
-/// channel lanes (where the host has AVX2); the bits are the same either
-/// way.
+/// `shared_dx` when `DX` and returns `(dw, db)`. `simd` allows the 1x1 and
+/// 3x3 channel lanes (where the host has AVX2); the bits are the same
+/// either way.
 fn depthwise_backward<const DX: bool>(
     x: &Tensor,
     w: &Tensor,
@@ -855,9 +734,40 @@ fn depthwise_backward<const DX: bool>(
     let ker_sz = geom.kh * geom.kw;
     let mut dw = Tensor::zeros(w.shape().clone());
     let mut db = Tensor::zeros([c]);
-    let kj_ranges = dw_kj_ranges(geom, wd, wo);
     let shared_dw = SharedMut::new(dw.as_mut_slice());
     let shared_db = SharedMut::new(db.as_mut_slice());
+    #[cfg(target_arch = "x86_64")]
+    if simd && (geom.kh, geom.kw) == (3, 3) && have_avx2() {
+        // Each lane group's dw/db walk is one task, listed first so the
+        // long serial walks start first; with DX, one task per sample and
+        // group then computes that sample's dx planes of the group.
+        let groups = c.div_ceil(LANES);
+        let (hw, ohw) = (h * wd, ho * wo);
+        let dims = (h, wd, ho, wo);
+        threadpool::parallel_for(groups + if DX { n * groups } else { 0 }, &|t| {
+            let c0 = t % groups * LANES;
+            let cl = LANES.min(c - c0);
+            if t < groups {
+                // Safety: channels [c0, c0 + cl)'s dw rows and db entries
+                // belong to this task only; AVX2 was checked above.
+                unsafe {
+                    let (dk, db_c) = (shared_dw.slice(c0 * 9, cl * 9), shared_db.slice(c0, cl));
+                    x86::dw_sums_3x3_lanes(xs, dys, n, c, dims, geom, c0, dk, db_c);
+                }
+                return;
+            }
+            let at = (t / groups - 1) * c + c0;
+            // Safety: the dx planes of sample t / groups - 1, channels
+            // [c0, c0 + cl), belong to this task only; AVX2 was checked.
+            unsafe {
+                let dx = shared_dx.slice(at * hw, cl * hw);
+                let dy = &dys[at * ohw..(at + cl) * ohw];
+                x86::dw_dx_3x3_lanes(dy, &ws[c0 * 9..(c0 + cl) * 9], dims, geom, dx);
+            }
+        });
+        return (dw, db);
+    }
+    let kj_ranges = dw_kj_ranges(geom, wd, wo);
     let lane_groups = if simd && geom == ConvGeometry::pointwise() && have_avx2() {
         c / LANES
     } else {
@@ -902,11 +812,304 @@ fn depthwise_backward<const DX: bool>(
     (dw, db)
 }
 
-/// The 1x1 depthwise backward's channel-lane kernel.
+/// The depthwise backward's channel-lane kernels: the 1x1 kernel's sums,
+/// and the 3x3 kernel's sums and input gradient.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use crate::simd::x86::{for_each_lane_pixel, store_f32x8};
+    use crate::simd::x86::{
+        for_each_lane_pixel, gather_lanes, load_f32x8, scatter_lanes, store_f32x8,
+    };
+    use crate::simd::LANES;
+    use crate::threadpool::{with_scratch, DW_LANES};
+    use crate::ConvGeometry;
     use std::arch::x86_64::*;
+
+    /// `acc + g * v`, with the product masked to `+0.0` where `skip` (`g`
+    /// is zero): the generic loop skips a pixel whose upstream gradient is
+    /// zero, and adding `+0.0` keeps the sum as the skip does — every sum
+    /// starts at `+0.0`, so it is never `-0.0`, and `s + 0.0 == s` for every
+    /// other `s` — where the product itself could be NaN (`0 · inf`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add_unless_zero(acc: __m256, g: __m256, v: __m256, skip: __m256) -> __m256 {
+        _mm256_add_ps(acc, _mm256_andnot_ps(skip, _mm256_mul_ps(g, v)))
+    }
+
+    /// The `dw` and `db` sums of the 3x3 depthwise backward for the lane
+    /// group of channels `[c0, c0 + cl)` (`cl = db_out.len()`, one to
+    /// eight), lane `l` running channel `c0 + l`'s chains of
+    /// [`super::dw_backward_channel_generic`] in its order: samples, then
+    /// output pixels row-major, then in-bounds taps in `(ki, kj)` order,
+    /// each sum kept in a register. Each sample's `x` and `dy` planes are
+    /// gathered channel-interleaved first; a partial group's dead lanes
+    /// read zero gradients, so they skip every pixel, and are never stored.
+    /// `dims` is `(h, w, ho, wo)`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present, `xs` and `dys` must hold `n * c` planes of
+    /// `h * w` and `ho * wo` elements, and `dk_out` `cl * 9`.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn dw_sums_3x3_lanes(
+        xs: &[f32],
+        dys: &[f32],
+        n: usize,
+        c: usize,
+        dims: (usize, usize, usize, usize),
+        geom: ConvGeometry,
+        c0: usize,
+        dk_out: &mut [f32],
+        db_out: &mut [f32],
+    ) {
+        let (h, w, ho, wo) = dims;
+        let (sh, sw, ph, pw) = (geom.sh, geom.sw, geom.ph, geom.pw);
+        let (hw, ohw, cl) = (h * w, ho * wo, db_out.len());
+        let int_lo = crate::depthwise::interior_lo(pw, sw, wo);
+        let int_hi = crate::depthwise::interior_hi(w, pw, 3, sw, wo, int_lo);
+        let zero = _mm256_setzero_ps();
+        // The sums live inside the closure, so they stay in registers.
+        let (dk, db) = with_scratch(&DW_LANES, (hw + ohw) * LANES, |s| {
+            let mut dk = [zero; 9];
+            let mut db = zero;
+            let (xg, gg) = s.split_at_mut(hw * LANES);
+            for ni in 0..n {
+                let at = ni * c + c0;
+                gather_lanes(&xs[at * hw..(at + cl) * hw], hw, xg);
+                gather_lanes(&dys[at * ohw..(at + cl) * ohw], ohw, gg);
+                for oi in 0..ho {
+                    let ki_lo = ph.saturating_sub(oi * sh);
+                    let ki_hi = (h + ph).saturating_sub(oi * sh).min(3);
+                    let full_rows = ki_lo == 0 && ki_hi == 3;
+                    for oj in 0..wo {
+                        let g = load_f32x8(gg, (oi * wo + oj) * LANES);
+                        let skip = _mm256_cmp_ps::<_CMP_EQ_OQ>(g, zero);
+                        // `db` needs no mask: a zero gradient's `+ ±0.0`
+                        // leaves the sum as the skip does (see
+                        // `add_unless_zero`), and no product is formed.
+                        db = _mm256_add_ps(db, g);
+                        if full_rows && (int_lo..int_hi).contains(&oj) {
+                            let at = (oi * sh - ph) * w + oj * sw - pw;
+                            for ki in 0..3 {
+                                for kj in 0..3 {
+                                    let xv = load_f32x8(xg, (at + ki * w + kj) * LANES);
+                                    dk[ki * 3 + kj] = add_unless_zero(dk[ki * 3 + kj], g, xv, skip);
+                                }
+                            }
+                            continue;
+                        }
+                        let kj_lo = pw.saturating_sub(oj * sw);
+                        let kj_hi = (w + pw).saturating_sub(oj * sw).min(3);
+                        // Constant tap indices keep `dk` in registers.
+                        for ki in 0..3 {
+                            for kj in 0..3 {
+                                if (ki_lo..ki_hi).contains(&ki) && (kj_lo..kj_hi).contains(&kj) {
+                                    let i = (oi * sh + ki - ph) * w + oj * sw + kj - pw;
+                                    let xv = load_f32x8(xg, i * LANES);
+                                    dk[ki * 3 + kj] = add_unless_zero(dk[ki * 3 + kj], g, xv, skip);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            (dk, db)
+        });
+        let mut lanes = [[0.0f32; LANES]; 9];
+        for (t, v) in lanes.iter_mut().zip(dk) {
+            store_f32x8(t, 0, v);
+        }
+        for (l, row) in dk_out.chunks_exact_mut(9).enumerate() {
+            for (d, t) in row.iter_mut().zip(&lanes) {
+                *d = t[l];
+            }
+        }
+        let mut db_lanes = [0.0f32; LANES];
+        store_f32x8(&mut db_lanes, 0, db);
+        db_out.copy_from_slice(&db_lanes[..cl]);
+    }
+
+    /// One sample's input gradient of the 3x3 depthwise backward for a lane
+    /// group of one to eight channels: `dy` holds the group's `ho * wo`
+    /// gradient planes, `ker` its `[cl, 3, 3]` filters, and `dx` receives
+    /// its `h * w` planes. `dims` is `(h, w, ho, wo)`.
+    ///
+    /// Each `dx` element is gathered once, from its up to nine `dy`
+    /// neighbours in the order [`super::dw_backward_channel_generic`] would
+    /// have added them — output pixels row-major, so taps in reverse `(ki,
+    /// kj)` order — starting from `+0.0`, a zero upstream gradient skipped.
+    /// Along an axis of stride `s` and padding `p`, input index `i` is
+    /// reached from output `(i + p - k) / s` by the taps `k ≡ i + p` (mod
+    /// `s`), so the input indices of one residue class share one list of
+    /// taps at fixed offsets: the class runs as a small stencil
+    /// ([`dx_class`]) over the group's gradient, gathered channel-interleaved
+    /// with a zero border so that an output index past either edge reads a
+    /// zero gradient, which the skip ignores.
+    ///
+    /// A zero gradient's product is masked to `+0.0` (`add_unless_zero`),
+    /// which leaves the sum as the skip does, also where the tap is not
+    /// finite and the product would be NaN.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present and the buffers must match the shapes above.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dw_dx_3x3_lanes(
+        dy: &[f32],
+        ker: &[f32],
+        dims: (usize, usize, usize, usize),
+        geom: ConvGeometry,
+        dx: &mut [f32],
+    ) {
+        let (h, w, ho, wo) = dims;
+        let (hw, ohw) = (h * w, ho * wo);
+        // The zero border: two rows and columns before (a tap reaches at
+        // most two outputs back) and enough after for the last input.
+        let bottom = ((h - 1 + geom.ph) / geom.sh + 1).saturating_sub(ho);
+        let right = ((w - 1 + geom.pw) / geom.sw + 1).saturating_sub(wo);
+        let row = 2 + wo + right;
+        let padded = (2 + ho + bottom) * row;
+        with_scratch(&DW_LANES, (padded + ohw + hw + 9) * LANES, |s| {
+            let (gg, rest) = s.split_at_mut(padded * LANES);
+            let (flat, rest) = rest.split_at_mut(ohw * LANES);
+            let (dxg, kg) = rest.split_at_mut(hw * LANES);
+            gather_lanes(dy, ohw, flat);
+            gg.fill(0.0);
+            for (oi, src) in flat.chunks_exact(wo * LANES).enumerate() {
+                let at = (2 + oi) * row + 2;
+                gg[at * LANES..(at + wo) * LANES].copy_from_slice(src);
+            }
+            gather_lanes(ker, 9, kg);
+            let grid = Grid { gg, kg, row, w };
+            let rows = Axis {
+                s: geom.sh,
+                p: geom.ph,
+                n: h,
+                tap: 3,
+                step: row,
+            };
+            let cols = Axis {
+                s: geom.sw,
+                p: geom.pw,
+                n: w,
+                tap: 1,
+                step: 1,
+            };
+            for ri in 0..rows.s {
+                for rj in 0..cols.s {
+                    let (rc, cc) = (rows.class(ri), cols.class(rj));
+                    let kernel = match (rc.len, cc.len) {
+                        (3, 3) => dx_class::<3, 3>,
+                        (3, 2) => dx_class::<3, 2>,
+                        (3, 1) => dx_class::<3, 1>,
+                        (2, 3) => dx_class::<2, 3>,
+                        (2, 2) => dx_class::<2, 2>,
+                        (2, 1) => dx_class::<2, 1>,
+                        (1, 3) => dx_class::<1, 3>,
+                        (1, 2) => dx_class::<1, 2>,
+                        (1, 1) => dx_class::<1, 1>,
+                        // no tap reaches the class: its dx is zero
+                        _ => dx_class::<0, 0>,
+                    };
+                    kernel(&grid, (&rc, rows.s), (&cc, cols.s), dxg);
+                }
+            }
+            scatter_lanes(dxg, hw, dx);
+        });
+    }
+
+    /// One residue class of [`dw_dx_3x3_lanes`]: each input pixel of row
+    /// class `rows` and column class `cols` (each with its stride) sums its
+    /// `R * C` contributions, the rows' taps outer and the columns' inner,
+    /// each output-ascending, into `dxg`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present, the classes must hold `R` and `C` taps, and
+    /// `dxg` must be the `[h * w][8]` input gradient.
+    #[target_feature(enable = "avx2")]
+    unsafe fn dx_class<const R: usize, const C: usize>(
+        grid: &Grid,
+        (rows, sh): (&Class, usize),
+        (cols, sw): (&Class, usize),
+        dxg: &mut [f32],
+    ) {
+        let rt: [(usize, usize); R] = std::array::from_fn(|t| rows.taps[t]);
+        let ct: [(usize, usize); C] = std::array::from_fn(|t| cols.taps[t]);
+        let zero = _mm256_setzero_ps();
+        for t in 0..rows.count {
+            let ii = rows.first + t * sh;
+            // consecutive members read consecutive outputs
+            let first = (2 + rows.out + t) * grid.row + 2 + cols.out;
+            for u in 0..cols.count {
+                let at = first + u;
+                let mut acc = zero;
+                for &(ki, mi) in &rt {
+                    for &(kj, mj) in &ct {
+                        let g = load_f32x8(grid.gg, (at - mi - mj) * LANES);
+                        let k = load_f32x8(grid.kg, (ki + kj) * LANES);
+                        let skip = _mm256_cmp_ps::<_CMP_EQ_OQ>(g, zero);
+                        acc = add_unless_zero(acc, g, k, skip);
+                    }
+                }
+                store_f32x8(dxg, (ii * grid.w + cols.first + u * sw) * LANES, acc);
+            }
+        }
+    }
+
+    /// One axis of [`dw_dx_3x3_lanes`]' gather: stride `s`, padding `p`,
+    /// `n` input indices; a tap `k` adds `k * tap` to the tap index, and
+    /// one output back along the axis is `step` pixels back in the
+    /// gathered gradient.
+    struct Axis {
+        s: usize,
+        p: usize,
+        n: usize,
+        tap: usize,
+        step: usize,
+    }
+
+    /// One residue class along an [`Axis`]: the input indices `first + t *
+    /// s` for `t` in `0..count`, member `t` reading output `out + t` and,
+    /// back from it, `taps[..len]`.
+    struct Class {
+        first: usize,
+        count: usize,
+        out: usize,
+        taps: [(usize, usize); 3],
+        len: usize,
+    }
+
+    impl Axis {
+        /// The class of inputs `i` with `(i + p) % s == r`: they are reached
+        /// by the taps `k ≡ r` (mod `s`), listed output-ascending (tap
+        /// descending) as `(k * tap, (k - r) / s * step)`, since input `i`
+        /// reads output `(i + p) / s - (k - r) / s` through tap `k`.
+        fn class(&self, r: usize) -> Class {
+            let first = (r + self.s - self.p % self.s) % self.s;
+            let mut class = Class {
+                first,
+                count: self.n.saturating_sub(first).div_ceil(self.s),
+                out: (first + self.p) / self.s,
+                taps: [(0, 0); 3],
+                len: 0,
+            };
+            for k in (r..3).step_by(self.s).rev() {
+                class.taps[class.len] = (k * self.tap, (k - r) / self.s * self.step);
+                class.len += 1;
+            }
+            class
+        }
+    }
+
+    /// The gathered gradient `gg` with its zero border and row length
+    /// `row`, the gathered taps `kg`, and the input width `w`.
+    struct Grid<'a> {
+        gg: &'a [f32],
+        kg: &'a [f32],
+        row: usize,
+        w: usize,
+    }
 
     /// [`super::dw_sums_1x1`] for channels `[c0, c0 + 8)`, lane `l` running
     /// channel `c0 + l`'s two chains with the same operations in the same
@@ -1241,7 +1444,8 @@ mod tests {
     }
 
     /// [`depthwise_conv2d_backward`] with every channel forced through the
-    /// general per-pixel loop: the reference for the register kernels.
+    /// general per-pixel loop: the reference for the register kernels and
+    /// the channel lanes.
     fn dw_backward_generic_ref(
         x: &Tensor,
         w: &Tensor,
@@ -1271,49 +1475,108 @@ mod tests {
         (dx, dw, db)
     }
 
-    #[test]
-    fn depthwise_backward_register_kernels_match_generic_loop_bitwise() {
-        use crate::threadpool::with_thread_cap;
-        let mut rng = StdRng::seed_from_u64(22);
-        for (k, s, p) in [
-            (1usize, 1usize, 0usize),
-            (3, 1, 0),
-            (3, 1, 1),
-            (3, 2, 0),
-            (3, 2, 1),
-        ] {
-            let geom = ConvGeometry::square(k, s, p);
-            for (h, wd) in [(1usize, 1usize), (1, 5), (3, 3), (4, 7), (9, 9), (12, 11)] {
-                if h + 2 * p < k || wd + 2 * p < k {
-                    continue;
-                }
-                let (ho, wo) = geom.output_hw(h, wd);
-                let x = Tensor::randn([3, 4, h, wd], &mut rng);
-                let w = Tensor::randn([4, k, k], &mut rng);
-                // zeros exercise the zero-gradient skip
-                let mut dy = Tensor::randn([3, 4, ho, wo], &mut rng);
-                for (i, v) in dy.as_mut_slice().iter_mut().enumerate() {
-                    if i % 4 == 1 {
-                        *v = 0.0;
+    /// The 3x3 backward's inputs for one case: `x` and `dy` random, some
+    /// upstream gradients zero (of both signs), some weights `-0.0`, an
+    /// infinite `x` in each plane read only by pixels whose gradient is
+    /// zero, where a product not skipped would be NaN, and, with more than
+    /// one channel, an infinite tap in the last channel, whose zero
+    /// gradients must be skipped in `dx` too.
+    fn dw3_backward_case(
+        n: usize,
+        c: usize,
+        h: usize,
+        wd: usize,
+        geom: ConvGeometry,
+        rng: &mut StdRng,
+    ) -> (Tensor, Tensor, Tensor) {
+        let (ho, wo) = geom.output_hw(h, wd);
+        let mut x = Tensor::randn([n, c, h, wd], rng);
+        let mut w = Tensor::randn([c, 3, 3], rng);
+        let mut dy = Tensor::randn([n, c, ho, wo], rng);
+        for (i, v) in w.as_mut_slice().iter_mut().enumerate() {
+            if i % 5 == 2 {
+                *v = -0.0;
+            }
+        }
+        if c > 1 {
+            w.as_mut_slice()[(c - 1) * 9 + 4] = f32::INFINITY;
+        }
+        for (i, v) in dy.as_mut_slice().iter_mut().enumerate() {
+            match i % 7 {
+                1 => *v = 0.0,
+                4 => *v = -0.0,
+                _ => {}
+            }
+        }
+        let (i0, j0) = (h / 2, wd / 2);
+        for p in 0..n * c {
+            x.as_mut_slice()[p * h * wd + i0 * wd + j0] = f32::INFINITY;
+            for oi in 0..ho {
+                for oj in 0..wo {
+                    let reads = |o: usize, s: usize, pad: usize, i: usize| {
+                        o * s <= i + pad && i + pad < o * s + 3
+                    };
+                    if reads(oi, geom.sh, geom.ph, i0) && reads(oj, geom.sw, geom.pw, j0) {
+                        dy.as_mut_slice()[(p * ho + oi) * wo + oj] = 0.0;
                     }
                 }
-                let (wdx, wdw, wdb) = dw_backward_generic_ref(&x, &w, &dy, geom);
-                for width in [1, 2] {
-                    let (dx, dw, db) = with_thread_cap(width, || {
-                        depthwise_conv2d_backward(&x, &w, &dy, geom, true, true)
-                    });
-                    for (name, got, want) in [
-                        ("dx", dx.as_ref().unwrap(), &wdx),
-                        ("dw", &dw, &wdw),
-                        ("db", db.as_ref().unwrap(), &wdb),
-                    ] {
-                        assert!(
-                            got.as_slice()
-                                .iter()
-                                .zip(want.as_slice())
-                                .all(|(a, b)| a.to_bits() == b.to_bits()),
-                            "k{k} s{s} p{p} {h}x{wd} width {width}: {name} differs"
-                        );
+            }
+        }
+        (x, w, dy)
+    }
+
+    #[test]
+    fn depthwise_backward_3x3_lanes_match_generic_loop_bitwise() {
+        use crate::threadpool::with_thread_cap;
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut geoms: Vec<_> = [(1usize, 0usize), (1, 1), (2, 0), (2, 1), (3, 1), (4, 2)]
+            .into_iter()
+            .map(|(s, p)| ConvGeometry::square(3, s, p))
+            .collect();
+        // strides and paddings that differ between the axes
+        geoms.extend(
+            [(1, 2, 1, 0), (2, 1, 0, 2)].map(|(sh, sw, ph, pw)| ConvGeometry {
+                sh,
+                sw,
+                ph,
+                pw,
+                ..ConvGeometry::square(3, 1, 0)
+            }),
+        );
+        for geom in geoms {
+            let (s, p) = ((geom.sh, geom.sw), (geom.ph, geom.pw));
+            for (h, wd) in [
+                (1usize, 1usize),
+                (1, 5),
+                (3, 3),
+                (4, 7),
+                (9, 9),
+                (12, 11),
+                (17, 33),
+            ] {
+                if h + 2 * geom.ph < 3 || wd + 2 * geom.pw < 3 {
+                    continue;
+                }
+                for (c, n) in [1usize, 4, 7, 8, 9, 16, 17]
+                    .into_iter()
+                    .flat_map(|c| [(c, 1usize), (c, 3)])
+                {
+                    let (x, w, dy) = dw3_backward_case(n, c, h, wd, geom, &mut rng);
+                    let (wdx, wdw, wdb) = dw_backward_generic_ref(&x, &w, &dy, geom);
+                    for width in [1, 2] {
+                        let case = format!("s{s:?} p{p:?} {h}x{wd} c{c} n{n} width {width}");
+                        let (dx, dw, db) = with_thread_cap(width, || {
+                            depthwise_conv2d_backward(&x, &w, &dy, geom, true, true)
+                        });
+                        assert_same_bits(&format!("{case} dx"), dx.as_ref().unwrap(), &wdx);
+                        assert_same_bits(&format!("{case} dw"), &dw, &wdw);
+                        assert_same_bits(&format!("{case} db"), db.as_ref().unwrap(), &wdb);
+                        let (none, dw, db) = with_thread_cap(width, || {
+                            depthwise_conv2d_backward(&x, &w, &dy, geom, true, false)
+                        });
+                        assert!(none.is_none(), "{case}: dx computed though not wanted");
+                        assert_same_bits(&format!("{case} dw without dx"), &dw, &wdw);
+                        assert_same_bits(&format!("{case} db without dx"), &db.unwrap(), &wdb);
                     }
                 }
             }

@@ -1,24 +1,40 @@
-//! Depthwise convolution forward microkernels: f32 AVX2 row-strip kernels
-//! and the int8 quantized depthwise kernel.
+//! Depthwise convolution forward microkernels: the f32 channel-lane
+//! stencil for whole tensors, the f32 AVX2 row-strip kernels for one
+//! channel's rows, and the int8 quantized depthwise kernel.
 //!
 //! Depthwise convolution has no GEMM reduction to amortize packing over —
 //! each output channel reads one input channel through a tiny `kh x kw`
 //! stencil — so the implicit-GEMM machinery in
-//! [`crate::gemm`](mod@crate::gemm) never pays for itself here. Instead this
-//! module vectorizes along the output *row*: eight output columns per AVX2
-//! register, with every kernel tap broadcast once per (channel, row-strip)
-//! call.
+//! [`crate::gemm`](mod@crate::gemm) never pays for itself here. The f32
+//! stencil has two SIMD schedules, and the caller's data picks one:
+//!
+//! - a whole `[n, c, h, w]` tensor (`depthwise_conv2d_fused_into`: the
+//!   taped forward and the compiled plan's standalone depthwise) runs in
+//!   *channel lanes* (`dw_sample_lanes`): eight channels' planes are
+//!   gathered channel-interleaved into scratch, so one AVX2 register holds
+//!   one pixel of eight channels and every output pixel is vector work,
+//!   however narrow the plane;
+//! - one channel's row strip ([`dw_channel_rows`]: the fused
+//!   inverted-residual chain, and hosts without AVX2) runs along the output
+//!   *row*: eight output columns per register, with every kernel tap
+//!   broadcast once per (channel, row-strip) call and border columns
+//!   scalar.
 //!
 //! ## Bitwise contract
 //!
-//! The f32 vector path accumulates taps in exactly the scalar reference
-//! order — `bias` first, then `(ki, kj)` row-major with out-of-bounds rows
-//! skipped — using separate multiply and add (never FMA, which the scalar
-//! path would not contract). Eight lanes are eight independent output
-//! columns, so the SIMD kernel is **bitwise identical** to the scalar
-//! reference, and both are invariant to thread width and to how callers
-//! split rows into strips (the strip API recomputes each output row from
-//! its input window; nothing carries across rows).
+//! Every f32 path accumulates taps in exactly the scalar reference order —
+//! `bias` first, then `(ki, kj)` row-major with out-of-bounds taps skipped
+//! — using separate multiply and add (never FMA, which the scalar path
+//! would not contract). Eight lanes are eight independent output columns,
+//! or eight independent channels, so both SIMD schedules are **bitwise
+//! identical** to the scalar reference, and all are invariant to thread
+//! width and to how callers split rows into strips (the strip API
+//! recomputes each output row from its input window; nothing carries
+//! across rows). A tap's bounds depend only on the output pixel's
+//! position, which a channel-lane register's eight lanes share, so lanes
+//! skip out-of-bounds taps by a scalar branch; padding is never
+//! materialized, since a padded `±0 · k` term would turn a `-0.0` sum into
+//! `+0.0`, and `0 · inf` into NaN.
 //!
 //! The quantized path accumulates `u8 x i8` products in exact i32 integer
 //! arithmetic with out-of-bounds taps substituted by [`Q_ZERO`] (the
@@ -30,20 +46,22 @@
 //!
 //! ## Selection
 //!
-//! Fixed-size fast paths exist for the geometries tiny inverted-residual
-//! models actually use — 3x3 and 5x5 at stride 1 and 2 — and run wherever
-//! the host has AVX2; other geometries and hosts run the scalar loops. The
-//! int8 kernel additionally needs one 8-wide group of interior columns: on
-//! a narrower plane every column is a border column, and the scalar loop,
-//! which accumulates eight columns at a time and runs the vector epilogue
-//! on each full chunk, is faster. Every choice gives the same bits. The
-//! 1x1, stride-1, unpadded kernel that NetBooster's expansion inserts runs
-//! one `bias + x * k` pass: the scalar reference's expression for one tap.
+//! The channel lanes serve every kernel size, stride and padding wherever
+//! the host has AVX2. The row kernels have fixed-size fast paths for the
+//! geometries tiny inverted-residual models actually use — 3x3 and 5x5 at
+//! stride 1 and 2 — and run wherever the host has AVX2; other geometries
+//! and hosts run the scalar loops. The int8 kernel additionally needs one
+//! 8-wide group of interior columns: on a narrower plane every column is a
+//! border column, and the scalar loop, which accumulates eight columns at a
+//! time and runs the vector epilogue on each full chunk, is faster. Every
+//! choice gives the same bits. The 1x1, stride-1, unpadded kernel that
+//! NetBooster's expansion inserts runs one `bias + x * k` pass on both
+//! schedules: the scalar reference's expression for one tap.
 
 use crate::eltwise::Epilogue;
 use crate::qgemm::{Dequant, QOut, QNR, QW_MAX, Q_ZERO};
 use crate::simd::have_avx2;
-use crate::threadpool::{self, SharedMut};
+use crate::threadpool::{self, with_scratch, SharedMut, DW_LANES};
 use crate::ConvGeometry;
 
 /// Scalar reference: output columns `[j0, j1)` of absolute output row `oi`
@@ -187,12 +205,127 @@ pub fn dw_channel_rows(
     }
 }
 
+/// One sample's f32 depthwise forward in channel lanes: `x_s` holds its
+/// `c` input planes `[c, h, w]`, `ws` the `[c, kh, kw]` filters, and `out`
+/// receives its `[c, ho, wo]` output. Each group of up to eight channels is
+/// gathered channel-interleaved into thread-local scratch, so one AVX2
+/// register holds one pixel of eight channels and every output pixel is
+/// vector work whatever the plane width; each lane runs its channel's
+/// [`dw_cols_scalar`] chain unchanged, so the bits are the row kernels'.
+/// A partial group's dead lanes read zeros and are never stored.
+///
+/// # Safety
+///
+/// AVX2 must be present, and the buffers must match the shapes above.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn dw_sample_lanes(
+    x_s: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    ws: &[f32],
+    bias: Option<&[f32]>,
+    geom: ConvGeometry,
+    ho: usize,
+    wo: usize,
+    out: &mut [f32],
+) {
+    use crate::simd::x86::{gather_lanes, load_f32x8, scatter_lanes};
+    use crate::simd::LANES;
+    let (hw, ohw, taps) = (h * w, ho * wo, geom.kh * geom.kw);
+    with_scratch(&DW_LANES, (hw + ohw + taps) * LANES, |s| {
+        let (xg, rest) = s.split_at_mut(hw * LANES);
+        let (og, kg) = rest.split_at_mut(ohw * LANES);
+        for c0 in (0..c).step_by(LANES) {
+            let cl = LANES.min(c - c0);
+            gather_lanes(&x_s[c0 * hw..(c0 + cl) * hw], hw, xg);
+            gather_lanes(&ws[c0 * taps..(c0 + cl) * taps], taps, kg);
+            let biases: [f32; LANES] = std::array::from_fn(|l| match bias {
+                Some(b) if l < cl => b[c0 + l],
+                _ => 0.0,
+            });
+            let bv = load_f32x8(&biases, 0);
+            if (geom.kh, geom.kw) == (3, 3) {
+                x86::dw_lanes_avx2::<true>(xg, h, w, kg, bv, geom, ho, wo, og);
+            } else {
+                x86::dw_lanes_avx2::<false>(xg, h, w, kg, bv, geom, ho, wo, og);
+            }
+            scatter_lanes(og, ohw, &mut out[c0 * ohw..(c0 + cl) * ohw]);
+        }
+    })
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
     use crate::qgemm::qx86::put_avx2;
     use crate::simd::x86::{load_f32x8, load_u8x16, load_u8x8, store_f32x8, store_i32x8};
+    use crate::simd::LANES;
     use std::arch::x86_64::*;
+
+    /// The channel-lane stencil over one group's channel-interleaved planes:
+    /// `xg` is the `[h * w][8]` input, `kg` the `[kh * kw][8]` taps, `bv`
+    /// the eight biases and `og` the `[ho * wo][8]` output. Each output
+    /// pixel starts from `bv` and adds its in-bounds taps in `(ki, kj)`
+    /// order, each a `mul` then an `add` (never FMA), exactly as
+    /// [`dw_cols_scalar`] does per channel. A tap's bounds depend only on
+    /// the pixel's position, which all eight lanes share, so out-of-bounds
+    /// taps are skipped by a scalar branch; pixels whose taps are all in
+    /// bounds take an unconditional loop. Padding is never materialized:
+    /// a padded `±0·k` term would turn a `-0.0` sum into `+0.0`, and
+    /// `0·inf` into NaN. `K3` fixes the kernel at 3x3, so the interior taps
+    /// unroll.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn dw_lanes_avx2<const K3: bool>(
+        xg: &[f32],
+        h: usize,
+        w: usize,
+        kg: &[f32],
+        bv: __m256,
+        geom: ConvGeometry,
+        ho: usize,
+        wo: usize,
+        og: &mut [f32],
+    ) {
+        let (kh, kw) = if K3 { (3, 3) } else { (geom.kh, geom.kw) };
+        let (sh, sw, ph, pw) = (geom.sh, geom.sw, geom.ph, geom.pw);
+        let int_lo = interior_lo(pw, sw, wo);
+        let int_hi = interior_hi(w, pw, kw, sw, wo, int_lo);
+        let tap = |at: usize, t: usize, acc: __m256| {
+            _mm256_add_ps(
+                acc,
+                _mm256_mul_ps(load_f32x8(xg, at * LANES), load_f32x8(kg, t * LANES)),
+            )
+        };
+        for oi in 0..ho {
+            let ki_lo = ph.saturating_sub(oi * sh);
+            let ki_hi = (h + ph).saturating_sub(oi * sh).min(kh);
+            let full_rows = ki_lo == 0 && ki_hi == kh;
+            for oj in 0..wo {
+                let mut acc = bv;
+                if full_rows && (int_lo..int_hi).contains(&oj) {
+                    let at = (oi * sh - ph) * w + oj * sw - pw;
+                    for ki in 0..kh {
+                        for kj in 0..kw {
+                            acc = tap(at + ki * w + kj, ki * kw + kj, acc);
+                        }
+                    }
+                } else {
+                    let kj_lo = pw.saturating_sub(oj * sw);
+                    let kj_hi = (w + pw).saturating_sub(oj * sw).min(kw);
+                    for ki in ki_lo..ki_hi {
+                        let row = (oi * sh + ki - ph) * w;
+                        for kj in kj_lo..kj_hi {
+                            acc = tap(row + oj * sw + kj - pw, ki * kw + kj, acc);
+                        }
+                    }
+                }
+                store_f32x8(og, (oi * wo + oj) * LANES, acc);
+            }
+        }
+    }
 
     /// Row-strip f32 depthwise kernel for a fixed `KH x KW` kernel and
     /// horizontal stride `SW` (1 or 2). Border columns (any horizontal tap
@@ -682,20 +815,23 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The f32 plane grid, from one pixel to several vector groups wide.
+    const PLANES: [(usize, usize); 7] = [
+        (1, 1),
+        (2, 9),
+        (7, 8),
+        (9, 16),
+        // Exactly one f32 past the row for a 3x3 s2 p1 second load if the
+        // stride-2 guard is off by one (regression: OOB read).
+        (9, 18),
+        (16, 7),
+        (17, 33),
+    ];
+
     #[test]
     fn f32_simd_matches_scalar_bitwise() {
         for geom in edge_geoms() {
-            for &(h, w) in &[
-                (1usize, 1usize),
-                (2, 9),
-                (7, 8),
-                (9, 16),
-                // Exactly one f32 past the row for a 3x3 s2 p1 second load if
-                // the stride-2 guard is off by one (regression: OOB read).
-                (9, 18),
-                (16, 7),
-                (17, 33),
-            ] {
+            for &(h, w) in &PLANES {
                 if h + 2 * geom.ph < geom.kh || w + 2 * geom.pw < geom.kw {
                     continue;
                 }
@@ -709,6 +845,71 @@ mod tests {
                 let mut got = vec![0.0f32; ho * wo];
                 dw_channel_rows(&plane, 0, h, w, &ker, 0.25, geom, wo, 0, ho, &mut got);
                 assert_eq!(bits(&got), bits(&want), "f32 dw geom {geom:?} h{h} w{w}");
+            }
+        }
+    }
+
+    #[test]
+    fn f32_lanes_match_scalar_reference_bitwise() {
+        use crate::threadpool::with_thread_cap;
+        use crate::{depthwise_conv2d_fused_into, Tensor};
+        let mut geoms = edge_geoms();
+        geoms.extend([ConvGeometry::same(7, 1), ConvGeometry::same(7, 2)]);
+        for geom in geoms {
+            let taps = geom.kh * geom.kw;
+            for &(h, w) in &PLANES {
+                if h + 2 * geom.ph < geom.kh || w + 2 * geom.pw < geom.kw {
+                    continue;
+                }
+                let (ho, wo) = geom.output_hw(h, w);
+                for (c, n) in [1usize, 4, 7, 8, 9, 16, 17]
+                    .into_iter()
+                    .flat_map(|c| [(c, 1usize), (c, 3)])
+                {
+                    let mut x = fill(n * c * h * w, 0x31);
+                    let mut ker = fill(c * taps, 0x32);
+                    let mut bias = fill(c, 0x33);
+                    // Channel 0 of sample 0: a -0.0 bias, a -0.0 plane and
+                    // positive taps, so every output is -0.0; a padded
+                    // stencil would turn the border pixels into +0.0.
+                    bias[0] = -0.0;
+                    x[..h * w].fill(-0.0);
+                    ker[..taps].iter_mut().for_each(|k| *k = k.abs() + 0.125);
+                    let mut want = vec![0.0f32; n * c * ho * wo];
+                    for (p, o_plane) in want.chunks_mut(ho * wo).enumerate() {
+                        let ci = p % c;
+                        let plane = &x[p * h * w..(p + 1) * h * w];
+                        let k = &ker[ci * taps..(ci + 1) * taps];
+                        for (oi, row) in o_plane.chunks_mut(wo).enumerate() {
+                            dw_cols_scalar(plane, 0, h, w, k, geom, bias[ci], oi, 0, wo, row);
+                        }
+                    }
+                    let xt = Tensor::from_vec(x, [n, c, h, w]).unwrap();
+                    let wt = Tensor::from_vec(ker, [c, geom.kh, geom.kw]).unwrap();
+                    let bt = Tensor::from_vec(bias, [c]).unwrap();
+                    for act in [Epilogue::None, Epilogue::Relu6 { alpha: 0.25 }] {
+                        let mut want = want.clone();
+                        act.apply(&mut want);
+                        for width in [1, 2] {
+                            let mut got = vec![f32::NAN; want.len()];
+                            with_thread_cap(width, || {
+                                depthwise_conv2d_fused_into(
+                                    &xt,
+                                    &wt,
+                                    Some(&bt),
+                                    geom,
+                                    act,
+                                    &mut got,
+                                )
+                            });
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "geom {geom:?} n{n} c{c} h{h} w{w} act {act:?} width {width}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -537,6 +537,7 @@ fn run_microkernel(fma: bool, kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{MR, NR};
+    use crate::simd::x86::{broadcast_f32, load_f32x8, store_f32x8};
     use core::arch::x86_64::*;
 
     /// AVX2+FMA twin of [`super::microkernel`]: each C row is one `ymm`
@@ -554,8 +555,6 @@ mod x86 {
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn microkernel_fma(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
         debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-        let mut a_ptr = ap.as_ptr();
-        let mut b_ptr = bp.as_ptr();
         let mut e0 = _mm256_setzero_ps();
         let mut e1 = _mm256_setzero_ps();
         let mut e2 = _mm256_setzero_ps();
@@ -564,26 +563,31 @@ mod x86 {
         let mut o1 = _mm256_setzero_ps();
         let mut o2 = _mm256_setzero_ps();
         let mut o3 = _mm256_setzero_ps();
+        // The slivers advance two packed rows per iteration; each access is
+        // checked against what remains of them.
+        let (mut ap, mut bp) = (ap, bp);
         for _ in 0..kc / 2 {
-            let b0 = _mm256_loadu_ps(b_ptr);
-            e0 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr), b0, e0);
-            e1 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr.add(1)), b0, e1);
-            e2 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr.add(2)), b0, e2);
-            e3 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr.add(3)), b0, e3);
-            let b1 = _mm256_loadu_ps(b_ptr.add(NR));
-            o0 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr.add(MR)), b1, o0);
-            o1 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr.add(MR + 1)), b1, o1);
-            o2 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr.add(MR + 2)), b1, o2);
-            o3 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr.add(MR + 3)), b1, o3);
-            a_ptr = a_ptr.add(2 * MR);
-            b_ptr = b_ptr.add(2 * NR);
+            let b0 = load_f32x8(bp, 0);
+            e0 = _mm256_fmadd_ps(broadcast_f32(ap, 0), b0, e0);
+            e1 = _mm256_fmadd_ps(broadcast_f32(ap, 1), b0, e1);
+            e2 = _mm256_fmadd_ps(broadcast_f32(ap, 2), b0, e2);
+            e3 = _mm256_fmadd_ps(broadcast_f32(ap, 3), b0, e3);
+            let b1 = load_f32x8(bp, NR);
+            o0 = _mm256_fmadd_ps(broadcast_f32(ap, MR), b1, o0);
+            o1 = _mm256_fmadd_ps(broadcast_f32(ap, MR + 1), b1, o1);
+            o2 = _mm256_fmadd_ps(broadcast_f32(ap, MR + 2), b1, o2);
+            o3 = _mm256_fmadd_ps(broadcast_f32(ap, MR + 3), b1, o3);
+            // Safety: the slivers hold `kc` packed rows, so two rows remain
+            // on every iteration.
+            ap = ap.get_unchecked(2 * MR..);
+            bp = bp.get_unchecked(2 * NR..);
         }
         if kc % 2 == 1 {
-            let b0 = _mm256_loadu_ps(b_ptr);
-            e0 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr), b0, e0);
-            e1 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr.add(1)), b0, e1);
-            e2 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr.add(2)), b0, e2);
-            e3 = _mm256_fmadd_ps(_mm256_set1_ps(*a_ptr.add(3)), b0, e3);
+            let b0 = load_f32x8(bp, 0);
+            e0 = _mm256_fmadd_ps(broadcast_f32(ap, 0), b0, e0);
+            e1 = _mm256_fmadd_ps(broadcast_f32(ap, 1), b0, e1);
+            e2 = _mm256_fmadd_ps(broadcast_f32(ap, 2), b0, e2);
+            e3 = _mm256_fmadd_ps(broadcast_f32(ap, 3), b0, e3);
         }
         let rows = [
             _mm256_add_ps(e0, o0),
@@ -592,8 +596,8 @@ mod x86 {
             _mm256_add_ps(e3, o3),
         ];
         for (row, sum) in acc.iter_mut().zip(rows) {
-            let prev = _mm256_loadu_ps(row.as_ptr());
-            _mm256_storeu_ps(row.as_mut_ptr(), _mm256_add_ps(prev, sum));
+            let prev = load_f32x8(row, 0);
+            store_f32x8(row, 0, _mm256_add_ps(prev, sum));
         }
     }
 }

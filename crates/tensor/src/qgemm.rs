@@ -95,11 +95,20 @@ pub fn quantize_activations(x: &[f32], scale: f32, out: &mut [u8]) {
 
 /// The requantize step: `v · inv` saturated to `[-128, 127]` in the float
 /// domain, rounded ties-to-even and shifted by [`Q_ZERO`]. Saturating before
-/// the conversion keeps a huge value from overflowing the `i32`.
+/// the conversion keeps a huge value from overflowing the `i32`. The
+/// rounding adds and subtracts [`ROUND_TIES_EVEN`], which gives
+/// [`f32::round_ties_even`]'s result without the library call baseline
+/// x86_64 lowers that to; NaN passes through both and converts to 0.
 #[inline]
 fn requant(v: f32, inv: f32) -> u8 {
-    ((v * inv).clamp(-128.0, 127.0).round_ties_even() as i32 + Q_ZERO as i32) as u8
+    let y = (v * inv).clamp(-128.0, 127.0);
+    (((y + ROUND_TIES_EVEN) - ROUND_TIES_EVEN) as i32 + Q_ZERO as i32) as u8
 }
+
+/// `1.5 · 2²³`: for `|y| <= 2²²`, `y + ROUND_TIES_EVEN` lands where the f32
+/// spacing is 1, so the addition rounds `y` to an integer, ties to even,
+/// and subtracting the constant back is exact.
+const ROUND_TIES_EVEN: f32 = 12_582_912.0;
 
 /// An int8 kernel's output: f32 values, or u8 values at an output scale.
 /// Both take the dequantize → activation epilogue; u8 outputs then
@@ -1170,6 +1179,26 @@ mod tests {
         let zq = QPackedW::pack(&[0.0; 8], 2, 4);
         assert_eq!(zq.scales(), &[1.0, 1.0]);
         assert_eq!(zq.rowsums, &[0, 0]);
+    }
+
+    #[test]
+    fn requantize_rounds_like_round_ties_even() {
+        let want = |v: f32| (v.clamp(-128.0, 127.0).round_ties_even() as i32 + Q_ZERO as i32) as u8;
+        // every quarter step in [-130, 130], so every ±k.5 tie in range
+        let quarters = (-520..=520).map(|i| i as f32 / 4.0);
+        let specials = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for v in quarters.chain(specials) {
+            assert_eq!(requant(v, 1.0), want(v), "requant({v})");
+        }
+        // an inverse scale that is not one
+        for i in -2000..=2000 {
+            let v = i as f32 * 0.0625;
+            assert_eq!(
+                requant(v, 1.0 / 0.13),
+                want(v * (1.0 / 0.13)),
+                "requant({v}) at 0.13"
+            );
+        }
     }
 
     #[test]

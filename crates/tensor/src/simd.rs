@@ -1,8 +1,8 @@
 //! Checked AVX2 access and the channel-lane walk.
 //!
-//! The AVX2 kernels of the depthwise forward, the int8 GEMM, its epilogue
-//! and activation quantize, batch norm and the 1x1 depthwise backward load
-//! and store through the helpers here. Each helper
+//! The AVX2 kernels of the depthwise forward and backward, the f32 and
+//! int8 GEMMs, the int8 epilogue and activation quantize, and batch norm
+//! load and store through the helpers here. Each helper
 //! `debug_assert!`s that its whole footprint lies inside the slice it
 //! touches, so a debug build (the one `cargo test` runs) turns every bitwise
 //! property grid over those kernels into a bounds check as well. In a
@@ -18,7 +18,10 @@
 //! 8x8 block in registers and hands the kernel one vector per pixel, in flat
 //! `(sample, pixel)` order, so every lane sees exactly the sequence its
 //! channel's scalar loop sees. The same channels-innermost addressing is how
-//! channels-last convolution layouts vectorize.
+//! channels-last convolution layouts vectorize. [`x86::gather_lanes`] and
+//! [`x86::scatter_lanes`] move up to eight whole planes into and out of that
+//! layout in scratch, for the depthwise stencils, which read each pixel
+//! several times.
 
 /// Channels one lane vector carries.
 pub(crate) const LANES: usize = 8;
@@ -186,6 +189,18 @@ pub(crate) mod x86 {
         _mm_loadu_si128(s.as_ptr().add(i) as *const __m128i)
     }
 
+    /// Broadcasts `s[i]` to every lane.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present and `i < s.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn broadcast_f32(s: &[f32], i: usize) -> __m256 {
+        debug_assert!(i < s.len(), "f32 broadcast at {i} of {}", s.len());
+        _mm256_set1_ps(*s.as_ptr().add(i))
+    }
+
     /// Transposes the 8x8 block whose row `l` is `r[l]`: afterwards `r[p]`
     /// holds element `p` of every former row, row `l` in lane `l`.
     ///
@@ -273,6 +288,78 @@ pub(crate) mod x86 {
         }
     }
 
+    /// Gathers the `planes.len() / len` planes of `len` elements each (one
+    /// to eight) into channel-interleaved `dst[..len * 8]`: element `j` of
+    /// plane `l` goes to `dst[j * 8 + l]`, and lanes past the last plane
+    /// read zero. Whole blocks of eight elements go through [`transpose8`];
+    /// the `len % 8` tail is gathered one element at a time.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present, `planes` must hold one to eight whole planes
+    /// and `dst` at least `len * 8` elements.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn gather_lanes(planes: &[f32], len: usize, dst: &mut [f32]) {
+        let cl = planes.len() / len;
+        debug_assert!(
+            (1..=LANES).contains(&cl) && cl * len == planes.len(),
+            "{} elements are not one to eight planes of {len}",
+            planes.len()
+        );
+        let mut j = 0;
+        while j + LANES <= len {
+            let mut r = [_mm256_setzero_ps(); LANES];
+            for (l, row) in r.iter_mut().enumerate().take(cl) {
+                *row = load_f32x8(planes, l * len + j);
+            }
+            transpose8(&mut r);
+            for (p, &v) in r.iter().enumerate() {
+                store_f32x8(dst, (j + p) * LANES, v);
+            }
+            j += LANES;
+        }
+        for j in j..len {
+            for l in 0..LANES {
+                dst[j * LANES + l] = if l < cl { planes[l * len + j] } else { 0.0 };
+            }
+        }
+    }
+
+    /// The inverse of [`gather_lanes`]: writes lane `l` of the
+    /// channel-interleaved `src[..len * 8]` to plane `l` of `planes`, for
+    /// each of its `planes.len() / len` planes; the other lanes are dropped.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be present, `planes` must hold one to eight whole planes
+    /// and `src` at least `len * 8` elements.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn scatter_lanes(src: &[f32], len: usize, planes: &mut [f32]) {
+        let cl = planes.len() / len;
+        debug_assert!(
+            (1..=LANES).contains(&cl) && cl * len == planes.len(),
+            "{} elements are not one to eight planes of {len}",
+            planes.len()
+        );
+        let mut j = 0;
+        while j + LANES <= len {
+            let mut r = [_mm256_setzero_ps(); LANES];
+            for (p, row) in r.iter_mut().enumerate() {
+                *row = load_f32x8(src, (j + p) * LANES);
+            }
+            transpose8(&mut r);
+            for (l, &v) in r.iter().enumerate().take(cl) {
+                store_f32x8(planes, l * len + j, v);
+            }
+            j += LANES;
+        }
+        for j in j..len {
+            for l in 0..cl {
+                planes[l * len + j] = src[j * LANES + l];
+            }
+        }
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -310,6 +397,33 @@ pub(crate) mod x86 {
         }
 
         #[test]
+        fn gather_and_scatter_lanes_are_inverse() {
+            if !super::super::have_avx2() {
+                return;
+            }
+            // one to eight planes, lengths with and without a tail
+            for cl in 1..=LANES {
+                for len in [1usize, 7, 8, 13, 16] {
+                    let planes: Vec<f32> = (0..cl * len).map(|i| i as f32 + 0.5).collect();
+                    let mut lanes = vec![f32::NAN; len * LANES];
+                    let mut back = vec![f32::NAN; cl * len];
+                    // Safety: AVX2 checked above; the buffers match.
+                    unsafe {
+                        gather_lanes(&planes, len, &mut lanes);
+                        scatter_lanes(&lanes, len, &mut back);
+                    }
+                    for (j, px) in lanes.chunks_exact(LANES).enumerate() {
+                        for (l, &v) in px.iter().enumerate() {
+                            let want = if l < cl { planes[l * len + j] } else { 0.0 };
+                            assert_eq!(v.to_bits(), want.to_bits(), "cl {cl} len {len} px {j}");
+                        }
+                    }
+                    assert_eq!(back, planes, "cl {cl} len {len}");
+                }
+            }
+        }
+
+        #[test]
         #[cfg(debug_assertions)]
         #[should_panic(expected = "f32x8 load at 3 of 10")]
         fn load_past_the_end_is_caught_in_debug_builds() {
@@ -336,6 +450,15 @@ pub(crate) mod x86 {
 
         // Safety, in each test below: `on_avx2` runs the closure only on an
         // AVX2 host, and the debug assertion fires before the access.
+
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(expected = "f32 broadcast at 8 of 8")]
+        fn f32_broadcast_past_the_end_is_caught_in_debug_builds() {
+            on_avx2("f32 broadcast at 8 of 8", || unsafe {
+                broadcast_f32(&[0.0; 8], 8);
+            });
+        }
 
         #[test]
         #[cfg(debug_assertions)]

@@ -337,6 +337,8 @@ thread_local! {
     pub(crate) static CONV_DCOLS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Per-sample dW/db partials for conv backward, reduced on the caller.
     pub(crate) static CONV_DW_PARTS: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// Channel-interleaved planes of the depthwise channel-lane kernels.
+    pub(crate) static DW_LANES: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 #[cfg(test)]

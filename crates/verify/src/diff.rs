@@ -311,6 +311,13 @@ pub fn run_depthwise_suite(fast: bool) -> DiffReport {
         (2, 9, 5, 7, 1, 1, 0), // k = 1 over a channel-lane group and a remainder
         (2, 3, 8, 8, 3, 1, 1),
         (1, 4, 7, 7, 3, 2, 1),
+        // channel lanes: a full group of eight and a partial one, with a
+        // pixel tail; three groups at stride 2; and the lane forward at
+        // kernels 5 and 7
+        (2, 12, 9, 11, 3, 1, 1),
+        (2, 24, 16, 16, 3, 2, 1),
+        (1, 9, 8, 8, 5, 2, 2),
+        (1, 8, 7, 9, 7, 2, 3),
     ];
     if !fast {
         shapes.extend([(2, 2, 5, 5, 5, 1, 2), (2, 8, 10, 10, 3, 1, 1)]);

@@ -26,6 +26,11 @@ echo "== cargo test --release (nb-tensor) =="
 # benchmark runs them; the debug run above checks their memory footprints
 cargo test --release --locked -q -p nb-tensor
 
+echo "== cargo test --release (training bits) =="
+# the golden bits of taped training steps (giant, PLT, finetune) on
+# nbbench's train net, with the kernels optimized as the benchmark runs them
+cargo test --release --locked -q --test training_bits
+
 echo "== verify_all (fast mode) =="
 # differential kernel oracles (gemm, conv, depthwise, pooling, and batch
 # norm's training statistics, normalize and backward, each at widths
